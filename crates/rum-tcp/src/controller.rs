@@ -1,294 +1,316 @@
-//! The TCP driver for the sans-IO [`UpdateSession`]: the paper's
-//! consistent-update controller, running over real sockets.
+//! The TCP drivers of the sans-IO controller cores: the paper's
+//! consistent-update controller ([`TcpUpdateController`], serving an
+//! [`UpdateSession`]) here, and its multi-tenant sibling
+//! [`crate::TcpMuxController`] (serving a `SessionMux`) next door.
 //!
-//! [`TcpUpdateController`] listens for its switch connections (usually the
-//! RUM proxy impersonating the switches), assigns them [`ConnId`]s in accept
-//! order, and — once every expected connection is up — feeds the session
-//! [`SessionInput::Started`].  From then on it is a pure message pump: reader
-//! threads decode OpenFlow frames into [`SessionInput::FromSwitch`], a timer
-//! thread replays [`SessionInput::TimerFired`], and every
-//! [`SessionEffect`] the session returns is executed mechanically (writes,
-//! timer arming).  All consistency logic — dependency gating, the window,
-//! acknowledgment modes, the failure policy — lives in the session, which is
-//! the exact state machine the simulator's `controller::Controller` drives.
+//! Both run on the crate's one transport (the `transport` module, shared
+//! with the proxy): accepted sockets claim [`ConnId`] slots in accept
+//! order, one `poll(2)` worker decodes OpenFlow frames, and a timer thread
+//! replays timer fires — three threads, whatever the number of switches.
+//! The shared `Driver` is the only glue: it feeds each decoded batch or
+//! timer fire into the core under one lock, encodes the core's sends into
+//! one chunk per connection, pushes the chunks onto the slot outboxes and
+//! flushes them without blocking from the calling thread.  All consistency
+//! logic — dependency gating, the window, acknowledgment modes, the
+//! failure policy — lives in the session, which is the exact state machine
+//! the simulator's `controller::Controller` drives.
 
-use crate::legacy::{reader_loop, writer_loop, Route};
-use crate::timer::TimerQueue;
+use crate::transport::{self, Chunks, Outbox, Service, Threads, Transport};
 use controller::{
     is_resync_token, ConnId, Reconciler, ResyncConfig, ResyncEffect, ResyncInput, SessionEffect,
-    SessionInput, SessionOutcome, UpdateSession,
+    SessionInput, SessionOutcome, SessionTimerToken, UpdateSession,
 };
 use openflow::OfMessage;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::channel;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-struct ControllerState {
+/// What one drain of a controller core asks the driver to do.
+pub(crate) struct Sends {
+    /// Encoded bytes per connection.
+    chunks: Chunks,
+    /// Timers to arm, as `(delay, raw token)`.
+    timers: Vec<(Duration, u64)>,
+    /// Set when waiters on the driver's condvar should re-check.
+    pub(crate) notify: bool,
+}
+
+impl Sends {
+    /// Encodes `message` for `conn`; a connection outside the slot table
+    /// could never be written and is ignored.
+    pub(crate) fn send(&mut self, conn: ConnId, message: &OfMessage) {
+        self.chunks.encode(conn.index(), message);
+    }
+
+    /// Asks for `token` to fire after `delay`.
+    pub(crate) fn arm(&mut self, delay: Duration, token: u64) {
+        self.timers.push((delay, token));
+    }
+}
+
+/// A sans-IO controller core the [`Driver`] feeds.
+pub(crate) trait Core: Send + 'static {
+    /// Messages decoded from one read of `conn`'s socket; drains `msgs`.
+    fn on_messages(
+        &mut self,
+        now: Duration,
+        conn: ConnId,
+        msgs: &mut Vec<OfMessage>,
+        out: &mut Sends,
+    );
+    /// A timer the core armed has fired.
+    fn on_timer(&mut self, now: Duration, token: u64, out: &mut Sends);
+    /// Every expected connection is attached (called once).
+    fn on_all_attached(&mut self, _now: Duration, _out: &mut Sends) {}
+}
+
+struct Locked<C> {
+    core: C,
+    out: Sends,
+}
+
+/// A controller core served over the transport.
+pub(crate) struct Driver<C> {
+    transport: Transport,
+    state: Mutex<Locked<C>>,
+    /// Notified after every drain that set [`Sends::notify`].
+    done: Condvar,
+    epoch: Instant,
+    /// Connections ever attached (reconnects included).
+    accepted: AtomicUsize,
+    /// Whether [`Core::on_all_attached`] has run.
+    started: AtomicBool,
+}
+
+impl<C: Core> Driver<C> {
+    /// Binds `listen_addr` and serves `core` over `n_connections` slots
+    /// with one worker; the threads are spawned here, so they inherit the
+    /// caller's name.
+    pub(crate) fn start(
+        listen_addr: SocketAddr,
+        core: C,
+        n_connections: usize,
+        epoch: Instant,
+    ) -> std::io::Result<(Arc<Self>, Threads)> {
+        let listener = TcpListener::bind(listen_addr)?;
+        let slots = (0..n_connections)
+            .map(|_| vec![Outbox::new(Arc::default(), Arc::default())])
+            .collect();
+        let driver = Arc::new(Driver {
+            transport: Transport::new(slots, 1, Arc::default())?,
+            state: Mutex::new(Locked {
+                core,
+                out: Sends {
+                    chunks: Chunks::new(n_connections),
+                    timers: Vec::new(),
+                    notify: false,
+                },
+            }),
+            done: Condvar::new(),
+            epoch,
+            accepted: AtomicUsize::new(0),
+            started: AtomicBool::new(false),
+        });
+        let threads = transport::start(&driver, listener)?;
+        Ok((driver, threads))
+    }
+
+    /// Runs `f` against the core under the state lock and pushes the sends
+    /// it encoded onto the slot outboxes before the lock drops, so
+    /// concurrent drains keep engine order on every socket.  Timers are
+    /// armed and the touched slots flushed after it drops.
+    pub(crate) fn drive<R>(&self, f: impl FnOnce(&mut C, Duration, &mut Sends) -> R) -> R {
+        let now = self.epoch.elapsed();
+        let mut touched = Vec::new();
+        let (result, timers, notify) = {
+            let mut st = self.state.lock().unwrap();
+            let st = &mut *st;
+            let result = f(&mut st.core, now, &mut st.out);
+            self.transport.push_chunks(&mut st.out.chunks, &mut touched);
+            let notify = std::mem::take(&mut st.out.notify);
+            (result, std::mem::take(&mut st.out.timers), notify)
+        };
+        self.transport.finish_drain(touched, timers);
+        if notify {
+            self.done.notify_all();
+        }
+        result
+    }
+
+    /// Runs `f` against the core under the state lock.
+    pub(crate) fn with_core<R>(&self, f: impl FnOnce(&C) -> R) -> R {
+        f(&self.state.lock().unwrap().core)
+    }
+
+    /// Blocks until `f` yields a value or `timeout` elapses; `f` is
+    /// re-checked after every drain that set [`Sends::notify`].
+    pub(crate) fn wait_until<R>(
+        &self,
+        timeout: Duration,
+        mut f: impl FnMut(&C) -> Option<R>,
+    ) -> Option<R> {
+        let deadline = Instant::now() + timeout;
+        let mut st = self.state.lock().unwrap();
+        loop {
+            if let Some(r) = f(&st.core) {
+                return Some(r);
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return None;
+            }
+            st = self.done.wait_timeout(st, deadline - now).unwrap().0;
+        }
+    }
+
+    /// Connections ever attached (reconnects included).
+    pub(crate) fn connections(&self) -> usize {
+        self.accepted.load(Ordering::SeqCst)
+    }
+}
+
+impl<C: Core> Service for Driver<C> {
+    fn transport(&self) -> &Transport {
+        &self.transport
+    }
+
+    fn on_accept(&self, stream: TcpStream) {
+        // Surplus connections are dropped; a restarted switch reattaches
+        // under its original ConnId (the lowest freed slot).
+        let Some(slot) = self.transport.claim() else {
+            return;
+        };
+        self.accepted.fetch_add(1, Ordering::SeqCst);
+        self.transport.attach(slot, vec![stream]);
+        if self.transport.all_attached() && !self.started.swap(true, Ordering::SeqCst) {
+            self.drive(|core, now, out| core.on_all_attached(now, out));
+        }
+    }
+
+    fn on_messages(&self, slot: usize, _end: usize, msgs: &mut Vec<OfMessage>) {
+        self.drive(|core, now, out| core.on_messages(now, ConnId::new(slot), msgs, out));
+    }
+
+    fn on_timer(&self, token: u64) {
+        self.drive(|core, now, out| core.on_timer(now, token, out));
+    }
+}
+
+/// The update controller's core: the session plus the optional reconciler.
+struct UpdateCore {
     session: UpdateSession,
     /// Optional reconciliation engine; a mid-run Hello on an attached
     /// connection is the reconnect signal (the switch host replays the
     /// handshake on reattach and the RUM proxy forwards it), mirroring the
     /// simulator driver exactly.
     resync: Option<Reconciler>,
-    routes: Vec<Route>,
-    /// Reusable per-connection encode buffers: all sends of one drain are
-    /// coalesced into a single chunk (→ one socket write) per connection.
-    send_bufs: Vec<Vec<u8>>,
     /// Reusable effects buffer for session drains.
     effects: Vec<SessionEffect>,
-    /// Which `ConnId` slots currently have a live connection.  A switch
-    /// that drops its connection (e.g. the restart fault) frees its slot;
-    /// the reconnect claims the lowest free slot again, so a single
-    /// restarted switch reattaches under its original `ConnId`.
-    attached: Vec<bool>,
-    /// Per-slot attach generation, so a thread outliving its connection
-    /// cannot tear down the slot's newer connection.
-    generation: Vec<u64>,
-    /// Total connections ever attached (reconnects included).
-    total_accepted: usize,
-    started: bool,
 }
 
-struct Inner {
-    state: Mutex<ControllerState>,
-    /// Notified whenever the session reaches a terminal outcome.
-    done: Condvar,
-    timers: TimerQueue,
-    stop: AtomicBool,
-    epoch: Instant,
-}
-
-impl Inner {
-    fn now(&self) -> Duration {
-        self.epoch.elapsed()
-    }
-
-    /// Feeds one input under the lock and executes the returned effects.
-    fn drive(self: &Arc<Self>, input: SessionInput) {
-        self.drive_batch(std::iter::once(input));
-    }
-
-    /// Feeds a batch of inputs (e.g. every message decoded from one socket
-    /// read) under a single lock acquisition, encoding all resulting sends
-    /// into per-connection buffers flushed as one chunk each — one write
-    /// per connection per drain, no per-effect allocation.
-    fn drive_batch(self: &Arc<Self>, inputs: impl IntoIterator<Item = SessionInput>) {
-        let now = self.now();
-        let mut timers = Vec::new();
-        let mut notify = false;
-        {
-            let mut st = self.state.lock().unwrap();
-            let st = &mut *st;
-            for input in inputs {
-                notify |= apply_session(st, now, input, &mut timers);
-            }
-            flush_routes(st);
-        }
-        self.arm_timers(timers);
-        if notify {
-            self.done.notify_all();
-        }
-    }
-
-    /// Feeds one input into the reconciler (when enabled) and executes the
-    /// effects: same lock, same coalesced writes as session inputs.
-    fn drive_resync(self: &Arc<Self>, input: ResyncInput) {
-        let now = self.now();
-        let mut timers = Vec::new();
-        let notify;
-        {
-            let mut st = self.state.lock().unwrap();
-            let st = &mut *st;
-            notify = apply_resync(st, now, input, &mut timers);
-            flush_routes(st);
-        }
-        self.arm_timers(timers);
-        if notify {
-            self.done.notify_all();
-        }
-    }
-
-    /// Routes every message decoded from one socket read to the engine it
-    /// belongs to — the session while it is live; the reconciler for
-    /// reconnect Hellos, FlowRemoved notifications and everything after the
-    /// session settles — under a single lock acquisition.
-    fn drive_conn_messages(self: &Arc<Self>, conn: ConnId, msgs: &mut Vec<OfMessage>) {
-        let now = self.now();
-        let mut timers = Vec::new();
-        let mut notify = false;
-        {
-            let mut st = self.state.lock().unwrap();
-            let st = &mut *st;
-            for message in msgs.drain(..) {
-                if st.resync.is_some() {
-                    match message {
-                        // A mid-run Hello means the switch behind this
-                        // connection restarted and replayed its handshake:
-                        // answer it (completing the handshake) and flag the
-                        // reconnect.
-                        OfMessage::Hello { xid } => {
-                            let buf = &mut st.send_bufs[conn.index()];
-                            let _ = OfMessage::Hello { xid }.encode_into(buf);
-                            notify |= apply_resync(
-                                st,
-                                now,
-                                ResyncInput::SwitchReconnected { conn },
-                                &mut timers,
-                            );
-                            continue;
+impl UpdateCore {
+    /// Feeds one input into the session and executes its effects.  When
+    /// resync is enabled, confirmations feed the desired store and a
+    /// terminal outcome opens the reconciliation gate in the same drain —
+    /// no switch message can race in between.
+    fn session(&mut self, now: Duration, input: SessionInput, out: &mut Sends) {
+        let mut finished = false;
+        let mut effects = std::mem::take(&mut self.effects);
+        self.session
+            .drain_into(now, std::iter::once(input), &mut effects);
+        for effect in effects.drain(..) {
+            match effect {
+                SessionEffect::Send { conn, message } => out.send(conn, &message),
+                SessionEffect::ArmTimer { delay, token } => out.arm(delay, token.raw()),
+                SessionEffect::Confirmed { id } => {
+                    if let Some(resync) = self.resync.as_mut() {
+                        if let Some(m) = self.session.plan().get(id) {
+                            resync.store_mut().note_confirmed(m.target, &m.flow_mod);
                         }
-                        // Aged-out rules leave the desired store no matter
-                        // which engine is currently live.
-                        OfMessage::FlowRemoved { .. } => {
-                            apply_resync(
-                                st,
-                                now,
-                                ResyncInput::FromSwitch { conn, message },
-                                &mut timers,
-                            );
-                            continue;
-                        }
-                        _ => {}
                     }
-                    if st.session.outcome().is_some() {
-                        notify |= apply_resync(
-                            st,
-                            now,
-                            ResyncInput::FromSwitch { conn, message },
-                            &mut timers,
-                        );
+                }
+                SessionEffect::Rejected { .. } => {}
+                SessionEffect::Completed { .. } | SessionEffect::Aborted { .. } => finished = true,
+            }
+        }
+        self.effects = effects;
+        if finished {
+            out.notify = true;
+            self.resync(now, ResyncInput::SessionSettled, out);
+        }
+    }
+
+    /// Feeds one input into the reconciler (no-op while resync is
+    /// disabled); a switch reaching a terminal resync state (converged or
+    /// gave up) wakes the waiters.
+    fn resync(&mut self, now: Duration, input: ResyncInput, out: &mut Sends) {
+        let Some(resync) = self.resync.as_mut() else {
+            return;
+        };
+        for effect in resync.handle(now, input) {
+            match effect {
+                ResyncEffect::Send { conn, message } => out.send(conn, &message),
+                ResyncEffect::ArmTimer { delay, token } => out.arm(delay, token),
+                ResyncEffect::Converged { .. } | ResyncEffect::GaveUp { .. } => out.notify = true,
+            }
+        }
+    }
+}
+
+impl Core for UpdateCore {
+    /// Routes every message to the engine it belongs to — the session
+    /// while it is live; the reconciler for reconnect Hellos, FlowRemoved
+    /// notifications and everything after the session settles.
+    fn on_messages(
+        &mut self,
+        now: Duration,
+        conn: ConnId,
+        msgs: &mut Vec<OfMessage>,
+        out: &mut Sends,
+    ) {
+        for message in msgs.drain(..) {
+            if self.resync.is_some() {
+                match message {
+                    // A mid-run Hello means the switch behind this
+                    // connection restarted and replayed its handshake:
+                    // answer it (completing the handshake) and flag the
+                    // reconnect.
+                    OfMessage::Hello { xid } => {
+                        out.send(conn, &OfMessage::Hello { xid });
+                        self.resync(now, ResyncInput::SwitchReconnected { conn }, out);
                         continue;
                     }
-                }
-                notify |= apply_session(
-                    st,
-                    now,
-                    SessionInput::FromSwitch { conn, message },
-                    &mut timers,
-                );
-            }
-            flush_routes(st);
-        }
-        self.arm_timers(timers);
-        if notify {
-            self.done.notify_all();
-        }
-    }
-
-    fn arm_timers(&self, timers: Vec<(Duration, u64)>) {
-        let now = Instant::now();
-        for (delay, token) in timers {
-            self.timers.arm(now + delay, token);
-        }
-    }
-
-    /// Starts the update once all expected connections are attached.
-    fn maybe_start(self: &Arc<Self>) {
-        let ready = {
-            let mut st = self.state.lock().unwrap();
-            if st.attached.iter().all(|&a| a) && !st.started {
-                st.started = true;
-                true
-            } else {
-                false
-            }
-        };
-        if ready {
-            self.drive(SessionInput::Started);
-        }
-    }
-}
-
-/// Feeds one input into the session and executes its effects against the
-/// shared state: sends encode into the per-connection buffers (flushed by
-/// [`flush_routes`]), timers are collected as `(delay, raw token)` pairs
-/// for arming outside the lock.  When resync is enabled, confirmations feed
-/// the desired store and a terminal outcome opens the reconciliation gate
-/// under the same lock acquisition — no switch message can race in between.
-/// Returns whether the `done` condvar should be notified.
-fn apply_session(
-    st: &mut ControllerState,
-    now: Duration,
-    input: SessionInput,
-    timers: &mut Vec<(Duration, u64)>,
-) -> bool {
-    let mut finished = false;
-    st.effects.clear();
-    let mut effects = std::mem::take(&mut st.effects);
-    st.session
-        .drain_into(now, std::iter::once(input), &mut effects);
-    for effect in effects.drain(..) {
-        match effect {
-            SessionEffect::Send { conn, message } => {
-                let buf = &mut st.send_bufs[conn.index()];
-                let len_before = buf.len();
-                if message.encode_into(buf).is_err() {
-                    buf.truncate(len_before);
-                }
-            }
-            SessionEffect::ArmTimer { delay, token } => {
-                timers.push((delay, token.raw()));
-            }
-            SessionEffect::Confirmed { id } => {
-                if let Some(resync) = st.resync.as_mut() {
-                    if let Some(m) = st.session.plan().get(id) {
-                        resync.store_mut().note_confirmed(m.target, &m.flow_mod);
+                    // Aged-out rules leave the desired store no matter
+                    // which engine is currently live.
+                    OfMessage::FlowRemoved { .. } => {
+                        self.resync(now, ResyncInput::FromSwitch { conn, message }, out);
+                        continue;
                     }
+                    _ => {}
+                }
+                if self.session.outcome().is_some() {
+                    self.resync(now, ResyncInput::FromSwitch { conn, message }, out);
+                    continue;
                 }
             }
-            SessionEffect::Rejected { .. } => {}
-            SessionEffect::Completed { .. } | SessionEffect::Aborted { .. } => {
-                finished = true;
-            }
+            self.session(now, SessionInput::FromSwitch { conn, message }, out);
         }
     }
-    st.effects = effects;
-    if finished {
-        apply_resync(st, now, ResyncInput::SessionSettled, timers);
-    }
-    finished
-}
 
-/// Feeds one input into the reconciler (no-op while resync is disabled) and
-/// executes its effects the same way [`apply_session`] does.  Returns
-/// whether a switch reached a terminal resync state (converged or gave up)
-/// — waiters on the `done` condvar re-check their counts.
-fn apply_resync(
-    st: &mut ControllerState,
-    now: Duration,
-    input: ResyncInput,
-    timers: &mut Vec<(Duration, u64)>,
-) -> bool {
-    let Some(resync) = st.resync.as_mut() else {
-        return false;
-    };
-    let mut terminal = false;
-    for effect in resync.handle(now, input) {
-        match effect {
-            ResyncEffect::Send { conn, message } => {
-                let buf = &mut st.send_bufs[conn.index()];
-                let len_before = buf.len();
-                if message.encode_into(buf).is_err() {
-                    buf.truncate(len_before);
-                }
-            }
-            ResyncEffect::ArmTimer { delay, token } => timers.push((delay, token)),
-            ResyncEffect::Converged { .. } | ResyncEffect::GaveUp { .. } => terminal = true,
+    fn on_timer(&mut self, now: Duration, token: u64, out: &mut Sends) {
+        // Session and resync timers share one queue; the token namespaces
+        // are disjoint by construction.
+        if is_resync_token(token) {
+            self.resync(now, ResyncInput::TimerFired { token }, out);
+        } else {
+            let token = SessionTimerToken::from_raw(token);
+            self.session(now, SessionInput::TimerFired { token }, out);
         }
     }
-    terminal
-}
 
-/// Flushes every non-empty per-connection buffer as one chunk — one socket
-/// write per connection per drain.
-fn flush_routes(st: &mut ControllerState) {
-    for (route, buf) in st.routes.iter_mut().zip(st.send_bufs.iter_mut()) {
-        if !buf.is_empty() {
-            route.send_bytes(std::mem::take(buf));
-        }
+    fn on_all_attached(&mut self, now: Duration, out: &mut Sends) {
+        self.session(now, SessionInput::Started, out);
     }
 }
 
@@ -354,158 +376,44 @@ impl TcpUpdateController {
         self.resync.insert(Reconciler::new(config))
     }
 
-    /// Binds the listener and starts accepting connections on background
+    /// Binds the listener and starts serving connections on background
     /// threads.  The update begins automatically once all expected
     /// connections are up.
     pub fn start(self) -> std::io::Result<TcpControllerHandle> {
-        let listener = TcpListener::bind(self.listen_addr)?;
-        let local_addr = listener.local_addr()?;
-        let n_connections = self.n_connections;
-        let inner = Arc::new(Inner {
-            state: Mutex::new(ControllerState {
-                session: self.session,
-                resync: self.resync,
-                routes: (0..n_connections)
-                    .map(|_| Route::Pending(Vec::new()))
-                    .collect(),
-                send_bufs: (0..n_connections).map(|_| Vec::new()).collect(),
-                effects: Vec::new(),
-                attached: vec![false; n_connections],
-                generation: vec![0; n_connections],
-                total_accepted: 0,
-                started: false,
-            }),
-            done: Condvar::new(),
-            timers: TimerQueue::new(),
-            stop: AtomicBool::new(false),
-            epoch: self.epoch,
-        });
-
-        let timer_thread = {
-            let inner = Arc::clone(&inner);
-            std::thread::spawn(move || {
-                let fire_inner = Arc::clone(&inner);
-                inner.timers.run(&inner.stop, move |token| {
-                    // Session and resync timers share one queue; the token
-                    // namespaces are disjoint by construction.
-                    if is_resync_token(token) {
-                        fire_inner.drive_resync(ResyncInput::TimerFired { token });
-                    } else {
-                        fire_inner.drive(SessionInput::TimerFired {
-                            token: controller::SessionTimerToken::from_raw(token),
-                        });
-                    }
-                });
-            })
+        let core = UpdateCore {
+            session: self.session,
+            resync: self.resync,
+            effects: Vec::new(),
         };
-
-        let accept_inner = Arc::clone(&inner);
-        let accept_thread = std::thread::spawn(move || {
-            for incoming in listener.incoming() {
-                if accept_inner.stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = incoming else {
-                    continue;
-                };
-                let (conn, generation) = {
-                    let mut st = accept_inner.state.lock().unwrap();
-                    // Claim the lowest free slot; a switch that dropped its
-                    // connection (switch restart) reattaches under its
-                    // original ConnId.  Surplus connections are dropped.
-                    //
-                    // Limitation: the mapping is positional, not
-                    // authenticated — with several switches down at once,
-                    // whoever re-dials first gets the lowest freed slot.
-                    // Deployments that restart more than one switch
-                    // concurrently need datapath-id re-identification from
-                    // a features handshake, which this prototype (like the
-                    // paper's) does not perform.
-                    let Some(slot) = st.attached.iter().position(|&a| !a) else {
-                        continue;
-                    };
-                    st.attached[slot] = true;
-                    st.generation[slot] += 1;
-                    st.total_accepted += 1;
-                    (ConnId::new(slot), st.generation[slot])
-                };
-                attach_connection(&accept_inner, conn, generation, stream);
-                accept_inner.maybe_start();
-            }
-        });
-
+        let (driver, threads) =
+            Driver::start(self.listen_addr, core, self.n_connections, self.epoch)?;
         Ok(TcpControllerHandle {
-            local_addr,
-            inner,
-            accept_thread: Some(accept_thread),
-            timer_thread: Some(timer_thread),
+            local_addr: threads.local_addr,
+            driver,
+            threads,
         })
     }
-}
-
-/// Wires one accepted switch connection: a writer thread draining the
-/// conn's outbox and a reader thread feeding the session.  Either thread
-/// ending detaches the slot so a restarted switch can reconnect under the
-/// same `ConnId`; messages sent meanwhile buffer in the pending route and
-/// flush on reattach.
-fn attach_connection(inner: &Arc<Inner>, conn: ConnId, generation: u64, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let reader = stream.try_clone().expect("clone switch stream");
-    let (tx, rx) = channel::<Vec<u8>>();
-    inner.state.lock().unwrap().routes[conn.index()].connect(tx);
-    // A failed write ends the writer loop gracefully; the session-level
-    // failure policy (timeout → retry → abort) handles the silent switch.
-    {
-        let inner = Arc::clone(inner);
-        std::thread::spawn(move || {
-            writer_loop(rx, stream, None);
-            detach_connection(&inner, conn, generation);
-        });
-    }
-    {
-        let inner = Arc::clone(inner);
-        std::thread::spawn(move || {
-            reader_loop(reader, |msgs| {
-                inner.drive_conn_messages(conn, msgs);
-            });
-            detach_connection(&inner, conn, generation);
-        });
-    }
-}
-
-/// Frees one slot after its connection died: resets the route to buffering
-/// mode (the writer thread drains what was already queued, shuts the socket
-/// down and exits — see `writer_loop`) and marks the slot free for a
-/// reconnect.  Generation-guarded and idempotent.
-fn detach_connection(inner: &Arc<Inner>, conn: ConnId, generation: u64) {
-    let mut st = inner.state.lock().unwrap();
-    if !st.attached[conn.index()] || st.generation[conn.index()] != generation {
-        return;
-    }
-    st.attached[conn.index()] = false;
-    st.routes[conn.index()] = Route::Pending(Vec::new());
 }
 
 /// A handle to a running TCP update controller.
 pub struct TcpControllerHandle {
     /// The address the controller actually listens on (useful with port 0).
     pub local_addr: SocketAddr,
-    inner: Arc<Inner>,
-    accept_thread: Option<JoinHandle<()>>,
-    timer_thread: Option<JoinHandle<()>>,
+    driver: Arc<Driver<UpdateCore>>,
+    threads: Threads,
 }
 
 impl TcpControllerHandle {
     /// Number of switch connections accepted so far (reconnects included).
     pub fn connections(&self) -> usize {
-        self.inner.state.lock().unwrap().total_accepted
+        self.driver.connections()
     }
 
     /// Runs `f` against the session under the lock — the unified inspection
     /// surface (confirm counts, timestamps, outcome), identical to what the
     /// simulator driver exposes.
     pub fn with_session<R>(&self, f: impl FnOnce(&UpdateSession) -> R) -> R {
-        f(&self.inner.state.lock().unwrap().session)
+        self.driver.with_core(|c| f(&c.session))
     }
 
     /// Every confirmation the session recorded, in order.
@@ -517,70 +425,83 @@ impl TcpControllerHandle {
     /// was never enabled.  The same inspection surface (status, trace,
     /// desired store) the simulator driver exposes.
     pub fn with_reconciler<R>(&self, f: impl FnOnce(&Reconciler) -> R) -> Option<R> {
-        self.inner.state.lock().unwrap().resync.as_ref().map(f)
+        self.driver.with_core(|c| c.resync.as_ref().map(f))
     }
 
     /// Blocks until at least `n` switches have reached a terminal resync
     /// state (converged or gave up) or `timeout` elapses; returns whether
     /// they did.
     pub fn wait_for_resync(&self, n: usize, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.inner.state.lock().unwrap();
-        loop {
-            if st.resync.as_ref().is_some_and(|r| r.terminal_count() >= n) {
-                return true;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (guard, _) = self.inner.done.wait_timeout(st, deadline - now).unwrap();
-            st = guard;
-        }
+        self.driver
+            .wait_until(timeout, |c| {
+                let r = c.resync.as_ref()?;
+                (r.terminal_count() >= n).then_some(())
+            })
+            .is_some()
     }
 
     /// Blocks until the session reaches a terminal outcome (completed or
     /// aborted) or `timeout` elapses; returns the outcome if there is one.
     pub fn wait_for_outcome(&self, timeout: Duration) -> Option<SessionOutcome> {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.inner.state.lock().unwrap();
-        loop {
-            if let Some(outcome) = st.session.outcome() {
-                return Some(outcome.clone());
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, _) = self.inner.done.wait_timeout(st, deadline - now).unwrap();
-            st = guard;
-        }
+        self.driver
+            .wait_until(timeout, |c| c.session.outcome().cloned())
     }
 
-    /// Asks the accept and timer loops to stop and waits for them.
-    /// Established connection threads terminate when their sockets close.
-    pub fn shutdown(mut self) {
-        self.inner.stop.store(true, Ordering::SeqCst);
-        self.inner.timers.wake();
-        // Unblock the accept loop with a throw-away connection.
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.timer_thread.take() {
-            let _ = t.join();
-        }
+    /// Stops the accept, timer and worker threads and waits for them;
+    /// every accepted connection is shut down, so each switch sees EOF
+    /// before this returns.
+    pub fn shutdown(self) {
+        self.threads.shutdown(self.driver.transport());
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::proxy::wait_for;
     use controller::{AckMode, FailurePolicy, UpdatePlan};
     use openflow::messages::FlowMod;
     use openflow::{Action, OfCodec, OfMatch, OfMessage};
     use std::io::{Read, Write};
     use std::net::Ipv4Addr;
+    use std::thread::JoinHandle;
+
+    /// Asserts that `peer` reads EOF (`Ok(0)`) within `limit`, skipping
+    /// whatever data arrives first.
+    pub(crate) fn assert_eof_within(mut peer: TcpStream, limit: Duration) {
+        let deadline = Instant::now() + limit;
+        let mut buf = [0u8; 4096];
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            assert!(!left.is_zero(), "no EOF within {limit:?}");
+            peer.set_read_timeout(Some(left)).unwrap();
+            match peer.read(&mut buf) {
+                Ok(0) => return,
+                Ok(_) => continue,
+                Err(e) => panic!("no EOF within {limit:?}: {e}"),
+            }
+        }
+    }
+
+    /// `shutdown` closes every accepted connection, not just the listener:
+    /// each attached peer reads EOF promptly.
+    #[test]
+    fn shutdown_closes_accepted_sockets() {
+        let session = UpdateSession::new(plan(2), AckMode::RumAcks, 2);
+        let ctrl = TcpUpdateController::new("127.0.0.1:0".parse().unwrap(), session, 2);
+        let handle = ctrl.start().unwrap();
+        let peers: Vec<TcpStream> = (0..2)
+            .map(|_| TcpStream::connect(handle.local_addr).unwrap())
+            .collect();
+        assert!(wait_for(
+            || handle.connections() == 2,
+            Duration::from_secs(2)
+        ));
+        handle.shutdown();
+        for peer in peers {
+            assert_eof_within(peer, Duration::from_secs(1));
+        }
+    }
 
     fn plan(n: u64) -> UpdatePlan {
         let mut plan = UpdatePlan::new();

@@ -22,9 +22,9 @@
 //!   against this implementation *in the same run*, so the committed
 //!   baseline is honest, not a stale number.
 //!
-//! The module also hosts the shared connection plumbing (`Route`,
-//! `writer_loop`, `reader_loop`) still used by the controller-side
-//! harnesses, which keep their thread-based design.
+//! Its thread-per-connection plumbing (`Route`, `writer_loop`,
+//! `reader_loop`) is private to this module: every other TCP driver in the
+//! crate runs on the shared `poll(2)` transport.
 
 use crate::proxy::{ProxyConfig, ProxyCounters};
 use crate::relay::{Endpoint, EngineRelay, RelayEffects};
@@ -42,7 +42,7 @@ use telemetry::{Gauge, Registry};
 
 /// Where encoded bytes for one endpoint go: buffered until the connection
 /// exists, then straight into its writer thread's queue as whole batches.
-pub(crate) enum Route {
+enum Route {
     /// No connection yet; encoded bytes queue up and flush on attach.
     Pending(Vec<u8>),
     /// A live connection's writer-thread inbox (one chunk per drain batch).
@@ -53,7 +53,7 @@ impl Route {
     /// Hands one encoded batch to the endpoint.  Returns `true` when the
     /// chunk was enqueued on a live connection's outbox (so callers can
     /// track queue depth), `false` when it was buffered or dropped.
-    pub(crate) fn send_bytes(&mut self, bytes: Vec<u8>) -> bool {
+    fn send_bytes(&mut self, bytes: Vec<u8>) -> bool {
         if bytes.is_empty() {
             return false;
         }
@@ -72,7 +72,7 @@ impl Route {
 
     /// Returns `true` when buffered pending bytes were flushed onto the
     /// fresh connection as one chunk.
-    pub(crate) fn connect(&mut self, tx: Sender<Vec<u8>>) -> bool {
+    fn connect(&mut self, tx: Sender<Vec<u8>>) -> bool {
         if let Route::Pending(q) = std::mem::replace(self, Route::Connected(tx.clone())) {
             if !q.is_empty() {
                 return tx.send(q).is_ok();
@@ -436,14 +436,14 @@ fn attach_connection(
     {
         let inner = Arc::clone(inner);
         std::thread::spawn(move || {
-            writer_loop(switch_rx, switch_stream, Some(switch_depth));
+            writer_loop(switch_rx, switch_stream, switch_depth);
             detach_connection(&inner, switch, generation);
         });
     }
     {
         let inner = Arc::clone(inner);
         std::thread::spawn(move || {
-            writer_loop(controller_rx, controller_stream, Some(controller_depth));
+            writer_loop(controller_rx, controller_stream, controller_depth);
             detach_connection(&inner, switch, generation);
         });
     }
@@ -511,12 +511,7 @@ const MAX_COALESCED_WRITE: usize = 256 * 1024;
 /// sender) lets the writer drain everything already routed — e.g. the acks
 /// for barrier replies a restarting switch flushed with its dying breath —
 /// before the FIN goes out.
-pub(crate) fn writer_loop(rx: Receiver<Vec<u8>>, mut stream: TcpStream, depth: Option<Arc<Gauge>>) {
-    let consumed = |n: i64| {
-        if let Some(g) = &depth {
-            g.add(-n);
-        }
-    };
+fn writer_loop(rx: Receiver<Vec<u8>>, mut stream: TcpStream, depth: Arc<Gauge>) {
     // `recv` keeps yielding queued chunks after the senders are dropped
     // (detach), then errors — that is the drain.
     while let Ok(mut pending) = rx.recv() {
@@ -533,7 +528,7 @@ pub(crate) fn writer_loop(rx: Receiver<Vec<u8>>, mut stream: TcpStream, depth: O
                 Err(_) => break,
             }
         }
-        consumed(chunks);
+        depth.add(-chunks);
         if stream.write_all(&pending).is_err() {
             break;
         }
@@ -541,7 +536,7 @@ pub(crate) fn writer_loop(rx: Receiver<Vec<u8>>, mut stream: TcpStream, depth: O
     // Chunks abandoned by a failed write still count as consumed: the
     // gauge tracks what a live connection has queued, not lost bytes.
     while rx.try_recv().is_ok() {
-        consumed(1);
+        depth.dec();
     }
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }
@@ -549,7 +544,7 @@ pub(crate) fn writer_loop(rx: Receiver<Vec<u8>>, mut stream: TcpStream, depth: O
 /// Reads OpenFlow frames off a socket and hands every batch decoded from
 /// one read to `sink` at once, so the receiver can drain the whole batch
 /// under a single engine lock and emit a single write per destination.
-pub(crate) fn reader_loop(mut stream: TcpStream, mut sink: impl FnMut(&mut Vec<OfMessage>)) {
+fn reader_loop(mut stream: TcpStream, mut sink: impl FnMut(&mut Vec<OfMessage>)) {
     let mut codec = OfCodec::new();
     let mut buf = [0u8; 4096];
     let mut msgs: Vec<OfMessage> = Vec::new();

@@ -14,7 +14,7 @@
 //!   messages plus wall-clock time, returns endpoint-tagged messages, timer
 //!   requests and confirmations.  Fully unit-testable without sockets.
 //! * [`proxy::RumTcpProxy`] — the socket machinery: listener, one upstream
-//!   controller connection per accepted switch, reader/writer threads with
+//!   controller connection per accepted switch, event-loop workers with
 //!   [`openflow::OfCodec`] framing, and a timer thread feeding engine
 //!   timeouts back in.
 //!
@@ -25,7 +25,8 @@
 //! * [`controller::TcpUpdateController`] — the TCP driver of the update
 //!   session: executes a dependency-ordered plan over accepted switch
 //!   connections, with the same window/ack-mode/failure-policy logic as the
-//!   simulator controller.
+//!   simulator controller; [`mux_controller::TcpMuxController`] does the
+//!   same for many concurrent tenant sessions through a `SessionMux`.
 //! * [`switch_host`] — `ofswitch` flow tables and behaviour models hosted
 //!   behind a TCP client, emulating buggy (early barrier reply) or faithful
 //!   switches.
@@ -39,8 +40,12 @@
 //!
 //! The crate is self-contained and synchronous: std networking plus a
 //! hand-rolled `poll(2)` reactor (the `reactor` module, the only one allowed to
-//! touch FFI).  The sharded proxy serves 1,000 switches from a handful of
-//! event-loop workers; the original thread-per-connection proxy survives as
+//! touch FFI).  On it sits the crate's one TCP transport (the private
+//! `transport` module): slot claim with attach generations, outboxes with
+//! partial-write resume, a budgeted read-and-decode path and the worker
+//! loop.  The sharded proxy and both controllers run on it, each on a fixed
+//! number of threads — the proxy serves 1,000 switches from a handful of
+//! workers.  The original thread-per-connection proxy survives as
 //! [`legacy::LegacyRumTcpProxy`] — the conformance oracle and the honest
 //! in-run baseline the sharded proxy's speedup is measured against.
 
@@ -55,6 +60,7 @@ pub(crate) mod reactor;
 pub mod relay;
 pub mod switch_host;
 mod timer;
+mod transport;
 
 pub use controller::{TcpControllerHandle, TcpUpdateController};
 pub use legacy::{LegacyProxyHandle, LegacyRumTcpProxy};

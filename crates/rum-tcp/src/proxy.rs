@@ -13,40 +13,29 @@
 //!
 //! Compared to the pre-shard proxy (kept as [`crate::LegacyRumTcpProxy`]),
 //! which spent four threads and one global engine mutex per accepted
-//! switch, this implementation:
-//!
-//! * splits the engine by [`SwitchId`] into shards (see
-//!   [`rum::ShardedEngine`]), each behind its *own* mutex, so concurrent
-//!   reader input for different switches never contends on one lock;
-//! * replaces every reader/writer thread pair with a handful of workers,
-//!   each running `poll(2)` over its connections' nonblocking sockets (see
-//!   `crate::reactor`) — 1,000 switches cost 2,000 registered fds, not
-//!   4,000 threads;
-//! * writes through per-connection outboxes with partial-write offset
-//!   resume: a stalled or slow switch leaves residue behind `POLLOUT`
-//!   interest and cannot head-of-line-block any other connection's drain;
-//! * bounds per-connection reads per wakeup, so one chatty switch cannot
-//!   starve the rest of a worker's poll set.
+//! switch, this implementation splits the engine by [`SwitchId`] into
+//! shards (see [`rum::ShardedEngine`]), each behind its *own* mutex, and
+//! serves every socket from the crate's one transport (the `transport`
+//! module, shared with both TCP controllers): a handful of `poll(2)`
+//! workers over nonblocking sockets — 1,000 switches cost 2,000
+//! registered fds, not 4,000 threads — with per-endpoint outboxes that
+//! resume partial writes, so a stalled switch cannot head-of-line-block
+//! any other connection, and a per-wakeup read budget, so one chatty
+//! switch cannot starve the rest of a worker's poll set.
 //!
 //! Routing follows the [`rum::ShardRouter`]: controller traffic and timer
 //! fires go to the owning shard, probe `PacketIn`s broadcast to every shard
 //! (each consumes only what it owns), so per-switch confirmation order is
 //! byte-identical to the single-engine proxy for the same scenario.
 
-use crate::reactor::{poll_fds, PollFd, Waker};
 use crate::relay::{Endpoint, EngineRelay, RelayEffects};
-use crate::timer::TimerQueue;
-use openflow::{OfCodec, OfMessage};
+use crate::transport::{self, Chunks, Outbox, Service, Threads, Transport};
+use openflow::OfMessage;
 use rum::{Input, ProxyStats, Routing, RumBuilder, ShardRouter, SwitchId, TimerToken};
-use std::collections::VecDeque;
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use telemetry::{Counter, Gauge, Registry};
+use telemetry::{Counter, Registry};
 
 /// Configuration of a [`RumTcpProxy`].
 #[derive(Debug, Clone)]
@@ -70,6 +59,7 @@ pub struct ProxyCounters {
     pub(crate) to_controller_bytes: Arc<Counter>,
     pub(crate) drains: Arc<Counter>,
     pub(crate) timers_fired: Arc<Counter>,
+    pub(crate) framing_errors: Arc<Counter>,
 }
 
 impl ProxyCounters {
@@ -82,6 +72,7 @@ impl ProxyCounters {
             to_controller_bytes: registry.counter("proxy.to_controller_bytes"),
             drains: registry.counter("proxy.drains"),
             timers_fired: registry.counter("proxy.timers_fired"),
+            framing_errors: registry.counter("proxy.framing_errors"),
         }
     }
 
@@ -119,192 +110,66 @@ impl ProxyCounters {
     pub fn timers_fired(&self) -> u64 {
         self.timers_fired.get()
     }
+
+    /// Connections dropped because a peer sent bytes that do not frame as
+    /// OpenFlow (e.g. a header whose length field is below the header
+    /// size).
+    pub fn framing_errors(&self) -> u64 {
+        self.framing_errors.get()
+    }
 }
 
-/// Per-connection read budget per wakeup: a firehosing peer yields the
-/// worker back to its poll set after this many bytes (level-triggered
-/// readiness re-fires immediately, so nothing is lost — only interleaved).
-const READ_BUDGET: usize = 256 * 1024;
+/// The endpoints of a proxy slot: the switch socket, then its onward
+/// controller socket.
+const SWITCH_END: usize = 0;
+const CONTROLLER_END: usize = 1;
 
 /// One shard's engine relay plus its reusable effect buffers, all behind
 /// one mutex.  Different shards' locks are independent — that is the point.
 struct ShardState {
     relay: EngineRelay,
     fx: RelayEffects,
-    /// Reusable per-endpoint encode buffers for one drain; indexed
-    /// `2 * switch + {0: switch-bound, 1: controller-bound}`.  Only the
-    /// entries a drain touches are visited (tracked in `dirty`).
-    encode_bufs: Vec<Vec<u8>>,
-    dirty: Vec<usize>,
+    /// Reusable per-endpoint encode buffers for one drain.
+    chunks: Chunks,
     /// Drains of this shard (`proxy.shard{k}.drains`).
     drains: Arc<Counter>,
     /// Messages this shard emitted (`proxy.shard{k}.msgs`).
     msgs: Arc<Counter>,
 }
 
-/// The write half of one proxied connection endpoint: queued encoded
-/// chunks, the partial-write offset into the front chunk, and the stream
-/// to flush into (absent while the connection is down — bytes then queue
-/// exactly like the legacy proxy's pending buffer and flush on attach).
-struct EndpointState {
-    stream: Option<TcpStream>,
-    queue: VecDeque<Vec<u8>>,
-    /// How much of `queue.front()` has already been written.
-    offset: usize,
-    /// Chunks queued on a live connection but not yet fully written
-    /// (`proxy.sw{i}.*_outbox_depth`, mirroring the legacy gauges).
-    depth: Arc<Gauge>,
-    /// Aggregate of the owning shard (`proxy.shard{k}.outbox_depth`).
-    shard_depth: Arc<Gauge>,
-}
-
-impl EndpointState {
-    fn new(depth: Arc<Gauge>, shard_depth: Arc<Gauge>) -> Self {
-        EndpointState {
-            stream: None,
-            queue: VecDeque::new(),
-            offset: 0,
-            depth,
-            shard_depth,
-        }
-    }
-
-    fn push_chunk(&mut self, chunk: Vec<u8>) {
-        if chunk.is_empty() {
-            return;
-        }
-        self.queue.push_back(chunk);
-        if self.stream.is_some() {
-            self.depth.inc();
-            self.shard_depth.inc();
-        }
-    }
-
-    /// Marks queued-while-down chunks as live outbox depth on attach.
-    fn on_attach(&mut self, stream: TcpStream) {
-        self.stream = Some(stream);
-        let n = self.queue.len() as i64;
-        self.depth.add(n);
-        self.shard_depth.add(n);
-    }
-
-    /// Drops the stream and every queued chunk (the engine re-issues
-    /// unconfirmed modifications on reconnect, as with the legacy proxy).
-    fn on_detach(&mut self) {
-        if let Some(s) = self.stream.take() {
-            let _ = s.shutdown(Shutdown::Both);
-        }
-        let n = self.queue.len() as i64;
-        self.depth.add(-n);
-        self.shard_depth.add(-n);
-        self.queue.clear();
-        self.offset = 0;
-    }
-
-    /// True when residue needs `POLLOUT` interest.
-    fn wants_write(&self) -> bool {
-        self.stream.is_some() && !self.queue.is_empty()
-    }
-
-    /// Writes as much queued data as the socket accepts right now,
-    /// resuming mid-chunk at the recorded offset.  Returns `true` when
-    /// unflushed residue remains (register write interest).  A dead socket
-    /// is shut down so the read path observes it and detaches.
-    fn try_flush(&mut self) -> bool {
-        let Some(stream) = self.stream.as_mut() else {
-            return false;
-        };
-        while let Some(front) = self.queue.front() {
-            match stream.write(&front[self.offset..]) {
-                Ok(0) => {
-                    let _ = stream.shutdown(Shutdown::Both);
-                    return false;
-                }
-                Ok(n) => {
-                    self.offset += n;
-                    if self.offset == front.len() {
-                        self.queue.pop_front();
-                        self.offset = 0;
-                        self.depth.add(-1);
-                        self.shard_depth.add(-1);
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    // Peer went away mid-write: surface it to the poll loop
-                    // (read side reports the hangup) and let detach clean up.
-                    let _ = stream.shutdown(Shutdown::Both);
-                    return false;
-                }
-            }
-        }
-        false
-    }
-}
-
-/// One switch slot's connection state: both write halves plus the attach
-/// bookkeeping, behind a per-slot mutex (never held across a shard lock
-/// acquisition; shard → slot is the global lock order).
-struct SlotState {
-    attached: bool,
-    /// Per-slot attach generation; a worker detaching with a stale
-    /// generation (its connection lingered past a reconnect) is a no-op.
-    generation: u64,
-    to_switch: EndpointState,
-    to_controller: EndpointState,
-}
-
-struct Slot {
-    state: Mutex<SlotState>,
-}
-
-/// A freshly accepted connection pair in transit to its worker.
-struct NewConn {
-    slot: usize,
-    generation: u64,
-    switch_stream: TcpStream,
-    controller_stream: TcpStream,
-}
-
-/// A worker's cross-thread surface: its waker and adoption inbox.
-struct WorkerShared {
-    waker: Waker,
-    inbox: Mutex<Vec<NewConn>>,
-}
-
 struct Inner {
     shards: Vec<Mutex<ShardState>>,
     router: ShardRouter,
     n_switches: usize,
-    slots: Vec<Slot>,
-    workers: Vec<WorkerShared>,
-    timers: TimerQueue,
+    transport: Transport,
+    controller_addr: SocketAddr,
     counters: ProxyCounters,
     /// Telemetry registry shared with the engine shards: `rum.sw*.*`
     /// (engine), `proxy.*` (transport) and `proxy.shard*.*` (per-shard)
     /// metrics all land here.
     registry: Arc<Registry>,
-    stop: AtomicBool,
 }
 
 impl Inner {
-    fn worker_of(&self, slot: usize) -> usize {
-        slot % self.workers.len()
-    }
-
     /// Routes a batch of inputs (one socket read's worth) shard by shard:
     /// consecutive same-shard inputs are drained under a single shard-lock
     /// acquisition and their output coalesces into one chunk per endpoint.
-    fn dispatch_batch(self: &Arc<Self>, inputs: &mut Vec<Input>) {
+    fn dispatch_batch(&self, inputs: impl IntoIterator<Item = Input>) {
         let mut run: Vec<Input> = Vec::new();
         let mut run_shard: Option<usize> = None;
-        for input in inputs.drain(..) {
+        let feed = |k: usize, run: &mut Vec<Input>| {
+            self.feed_shard(k, |relay, fx| {
+                for input in run.drain(..) {
+                    relay.handle_into(input, fx);
+                }
+            });
+        };
+        for input in inputs {
             match self.router.route(&input) {
                 Routing::Shard(k) => {
                     if run_shard != Some(k) {
                         if let Some(prev) = run_shard.take() {
-                            self.feed_shard(prev, &mut run);
+                            feed(prev, &mut run);
                         }
                         run_shard = Some(k);
                     }
@@ -312,137 +177,110 @@ impl Inner {
                 }
                 Routing::Broadcast => {
                     if let Some(prev) = run_shard.take() {
-                        self.feed_shard(prev, &mut run);
+                        feed(prev, &mut run);
                     }
                     let last = self.shards.len() - 1;
                     for k in 0..last {
                         run.push(input.clone());
-                        self.feed_shard(k, &mut run);
+                        feed(k, &mut run);
                     }
                     run.push(input);
-                    self.feed_shard(last, &mut run);
+                    feed(last, &mut run);
                 }
             }
         }
         if let Some(k) = run_shard {
-            self.feed_shard(k, &mut run);
+            feed(k, &mut run);
         }
     }
 
-    /// Convenience for single pre-routed inputs (timers, reconnects).
-    fn dispatch(self: &Arc<Self>, input: Input) {
-        let mut one = vec![input];
-        self.dispatch_batch(&mut one);
-    }
-
-    /// Drains `inputs` into shard `k` under its lock, encodes every
-    /// resulting message into its endpoint's chunk and pushes the chunks
-    /// onto the destination slots' outboxes — still under the shard lock,
-    /// so two batches fed to one shard can never interleave their bytes on
-    /// a socket out of engine order.  Timer arming and the nonblocking
-    /// flush of touched endpoints happen after the lock drops.
-    fn feed_shard(self: &Arc<Self>, k: usize, inputs: &mut Vec<Input>) {
-        let mut timers: Vec<(Duration, TimerToken)> = Vec::new();
+    /// Feeds shard `k`'s relay under its lock, encodes every resulting
+    /// message into its endpoint's chunk and pushes the chunks onto the
+    /// destination outboxes — still under the shard lock, so two batches
+    /// fed to one shard can never interleave their bytes on a socket out of
+    /// engine order.  Timer arming and the nonblocking flush of touched
+    /// slots happen after the lock drops.
+    fn feed_shard(&self, k: usize, feed: impl FnOnce(&mut EngineRelay, &mut RelayEffects)) {
         let mut touched: Vec<usize> = Vec::new();
-        {
+        let timers = {
             let mut st = self.shards[k].lock().unwrap();
             let st = &mut *st;
             st.drains.inc();
             self.counters.drains.inc();
             st.fx.clear();
-            for input in inputs.drain(..) {
-                st.relay.handle_into(input, &mut st.fx);
-            }
+            feed(&mut st.relay, &mut st.fx);
             for (endpoint, message) in st.fx.messages.drain(..) {
-                let (buf_idx, counter, bytes_counter) = match endpoint {
+                let (idx, counter, bytes_counter) = match endpoint {
                     Endpoint::Switch(sw) => (
-                        2 * sw.index(),
+                        2 * sw.index() + SWITCH_END,
                         &self.counters.to_switch,
                         &self.counters.to_switch_bytes,
                     ),
                     Endpoint::Controller(sw) => (
-                        2 * sw.index() + 1,
+                        2 * sw.index() + CONTROLLER_END,
                         &self.counters.to_controller,
                         &self.counters.to_controller_bytes,
                     ),
                 };
-                let buf = &mut st.encode_bufs[buf_idx];
-                if buf.is_empty() {
-                    st.dirty.push(buf_idx);
-                }
-                let len_before = buf.len();
-                if message.encode_into(buf).is_ok() {
+                if let Some(n) = st.chunks.encode(idx, &message) {
                     counter.inc();
                     st.msgs.inc();
-                    bytes_counter.add((buf.len() - len_before) as u64);
-                } else {
-                    buf.truncate(len_before);
+                    bytes_counter.add(n as u64);
                 }
             }
-            for buf_idx in st.dirty.drain(..) {
-                let chunk = std::mem::take(&mut st.encode_bufs[buf_idx]);
-                if chunk.is_empty() {
-                    continue;
-                }
-                let slot_idx = buf_idx / 2;
-                let mut slot = self.slots[slot_idx].state.lock().unwrap();
-                let ep = if buf_idx % 2 == 0 {
-                    &mut slot.to_switch
-                } else {
-                    &mut slot.to_controller
-                };
-                ep.push_chunk(chunk);
-                touched.push(slot_idx);
-            }
-            timers.append(&mut st.fx.timers);
-        }
-        if !timers.is_empty() {
-            let now = Instant::now();
-            for (delay, token) in timers {
-                self.timers.arm(now + delay, token.raw());
-            }
-        }
-        touched.sort_unstable();
-        touched.dedup();
-        for slot_idx in touched {
-            self.flush_slot(slot_idx);
-        }
-    }
-
-    /// Nonblocking flush of both endpoints of one slot; residue leaves the
-    /// bytes queued and wakes the owning worker so it registers `POLLOUT`.
-    fn flush_slot(&self, slot_idx: usize) {
-        let residue = {
-            let mut slot = self.slots[slot_idx].state.lock().unwrap();
-            let a = slot.to_switch.try_flush();
-            let b = slot.to_controller.try_flush();
-            a || b
+            self.transport.push_chunks(&mut st.chunks, &mut touched);
+            std::mem::take(&mut st.fx.timers)
         };
-        if residue {
-            self.workers[self.worker_of(slot_idx)].waker.wake();
-        }
+        let timers = timers.into_iter().map(|(d, t)| (d, t.raw()));
+        self.transport.finish_drain(touched, timers);
+    }
+}
+
+impl Service for Inner {
+    fn transport(&self) -> &Transport {
+        &self.transport
     }
 
-    /// Frees a slot after its connection died.  Generation-guarded and
-    /// idempotent: a stale worker entry (from before a reconnect) cannot
-    /// tear down the slot's newer connection.
-    fn detach(&self, slot_idx: usize, generation: u64) {
-        let mut slot = self.slots[slot_idx].state.lock().unwrap();
-        if !slot.attached || slot.generation != generation {
+    fn on_accept(&self, switch_stream: TcpStream) {
+        let Some(slot) = self.transport.claim() else {
+            // More switches than the engine was built for.
             return;
+        };
+        let Ok(controller_stream) = TcpStream::connect(self.controller_addr) else {
+            // Controller unavailable: free the slot and drop the switch
+            // connection so it retries.
+            self.transport.release(slot);
+            return;
+        };
+        self.counters.connections.inc();
+        let streams = vec![switch_stream, controller_stream];
+        if self.transport.attach(slot, streams) > 1 {
+            // The slot was attached before: this is a restarted switch
+            // reattaching.  Tell the engine so it re-installs its
+            // catch/probe rules and re-issues every unconfirmed controller
+            // modification on the fresh channel.
+            self.dispatch_batch([Input::SwitchReconnected {
+                switch: SwitchId::new(slot),
+            }]);
         }
-        slot.attached = false;
-        slot.to_switch.on_detach();
-        slot.to_controller.on_detach();
     }
 
-    fn timer_loop(self: Arc<Self>) {
-        self.timers.run(&self.stop, |token| {
-            self.counters.timers_fired.inc();
-            self.dispatch(Input::TimerFired {
-                token: TimerToken::from_raw(token),
-            });
-        });
+    fn on_messages(&self, slot: usize, end: usize, msgs: &mut Vec<OfMessage>) {
+        let switch = SwitchId::new(slot);
+        self.dispatch_batch(msgs.drain(..).map(|message| {
+            if end == SWITCH_END {
+                Input::FromSwitch { switch, message }
+            } else {
+                Input::FromController { switch, message }
+            }
+        }));
+    }
+
+    fn on_timer(&self, token: u64) {
+        self.counters.timers_fired.inc();
+        self.dispatch_batch([Input::TimerFired {
+            token: TimerToken::from_raw(token),
+        }]);
     }
 }
 
@@ -452,9 +290,7 @@ pub struct ProxyHandle {
     /// The address the proxy actually listens on (useful with port 0).
     pub local_addr: SocketAddr,
     inner: Arc<Inner>,
-    accept_thread: Option<JoinHandle<()>>,
-    timer_thread: Option<JoinHandle<()>>,
-    worker_threads: Vec<JoinHandle<()>>,
+    threads: Threads,
 }
 
 impl ProxyHandle {
@@ -521,26 +357,11 @@ impl ProxyHandle {
         self.inner.registry.clone()
     }
 
-    /// Asks the accept, timer and worker loops to stop and waits for them.
-    /// Workers shut their connections down on exit, so attached peers see
-    /// EOF promptly.
-    pub fn shutdown(mut self) {
-        self.inner.stop.store(true, Ordering::SeqCst);
-        self.inner.timers.wake();
-        for w in &self.inner.workers {
-            w.waker.wake();
-        }
-        // Unblock the accept loop with a throw-away connection.
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.timer_thread.take() {
-            let _ = t.join();
-        }
-        for t in self.worker_threads.drain(..) {
-            let _ = t.join();
-        }
+    /// Stops the accept, timer and worker loops and waits for them; every
+    /// attached switch and controller socket is shut down, so peers see
+    /// EOF before this returns.
+    pub fn shutdown(self) {
+        self.threads.shutdown(&self.inner.transport);
     }
 }
 
@@ -569,7 +390,6 @@ impl RumTcpProxy {
     /// connections on background threads.
     pub fn start(self) -> std::io::Result<ProxyHandle> {
         let listener = TcpListener::bind(self.config.listen_addr)?;
-        let local_addr = listener.local_addr()?;
         let sharded = self.builder.build_sharded();
         let registry = sharded.metrics().clone();
         let n_switches = sharded.n_switches();
@@ -585,387 +405,55 @@ impl RumTcpProxy {
                 Mutex::new(ShardState {
                     relay: EngineRelay::with_epoch(engine, epoch),
                     fx: RelayEffects::default(),
-                    encode_bufs: vec![Vec::new(); 2 * n_switches],
-                    dirty: Vec::new(),
+                    chunks: Chunks::new(2 * n_switches),
                     drains: registry.counter(&format!("proxy.shard{k}.drains")),
                     msgs: registry.counter(&format!("proxy.shard{k}.msgs")),
                 })
             })
             .collect();
 
-        let slots: Vec<Slot> = (0..n_switches)
+        // Slot i: [switch socket, controller socket], both counted into
+        // their shard's aggregate outbox depth.
+        let slots = (0..n_switches)
             .map(|i| {
                 let shard_depth =
                     registry.gauge(&format!("proxy.shard{}.outbox_depth", i % n_shards));
-                Slot {
-                    state: Mutex::new(SlotState {
-                        attached: false,
-                        generation: 0,
-                        to_switch: EndpointState::new(
-                            registry.gauge(&format!("proxy.sw{i}.switch_outbox_depth")),
-                            shard_depth.clone(),
-                        ),
-                        to_controller: EndpointState::new(
-                            registry.gauge(&format!("proxy.sw{i}.controller_outbox_depth")),
-                            shard_depth,
-                        ),
-                    }),
-                }
+                let depth = |end: &str| registry.gauge(&format!("proxy.sw{i}.{end}_outbox_depth"));
+                vec![
+                    Outbox::new(depth("switch"), shard_depth.clone()),
+                    Outbox::new(depth("controller"), shard_depth),
+                ]
             })
             .collect();
-
         let n_workers = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
             .clamp(1, 8);
-        let workers: Vec<WorkerShared> = (0..n_workers)
-            .map(|_| {
-                Ok(WorkerShared {
-                    waker: Waker::new()?,
-                    inbox: Mutex::new(Vec::new()),
-                })
-            })
-            .collect::<std::io::Result<_>>()?;
+        let counters = ProxyCounters::new(&registry);
+        let transport = Transport::new(slots, n_workers, counters.framing_errors.clone())?;
 
         let inner = Arc::new(Inner {
             shards,
             router,
             n_switches,
-            slots,
-            workers,
-            timers: TimerQueue::new(),
-            counters: ProxyCounters::new(&registry),
+            transport,
+            controller_addr: self.config.controller_addr,
+            counters,
             registry,
-            stop: AtomicBool::new(false),
         });
 
         // Start-up effects (probe-catch rules, initial technique timers)
-        // queue per endpoint and flush when that switch connects.  Feed
-        // every shard its start through the relay.
-        {
-            let mut timers: Vec<(Duration, TimerToken)> = Vec::new();
-            for k in 0..inner.shards.len() {
-                let msgs: Vec<(Endpoint, OfMessage)> = {
-                    let mut guard = inner.shards[k].lock().unwrap();
-                    let st = &mut *guard;
-                    st.fx.clear();
-                    st.relay.start_into(&mut st.fx);
-                    timers.append(&mut st.fx.timers);
-                    st.fx.messages.drain(..).collect()
-                };
-                // Encode outside the drain path helper: start-up is once,
-                // clarity beats reuse here.
-                for (endpoint, message) in msgs {
-                    let (slot_idx, is_switch) = match endpoint {
-                        Endpoint::Switch(sw) => (sw.index(), true),
-                        Endpoint::Controller(sw) => (sw.index(), false),
-                    };
-                    let mut chunk = Vec::new();
-                    if message.encode_into(&mut chunk).is_err() {
-                        continue;
-                    }
-                    if is_switch {
-                        inner.counters.to_switch.inc();
-                        inner.counters.to_switch_bytes.add(chunk.len() as u64);
-                    } else {
-                        inner.counters.to_controller.inc();
-                        inner.counters.to_controller_bytes.add(chunk.len() as u64);
-                    }
-                    let mut slot = inner.slots[slot_idx].state.lock().unwrap();
-                    let ep = if is_switch {
-                        &mut slot.to_switch
-                    } else {
-                        &mut slot.to_controller
-                    };
-                    ep.push_chunk(chunk);
-                }
-            }
-            let now = Instant::now();
-            for (delay, token) in timers {
-                inner.timers.arm(now + delay, token.raw());
-            }
+        // queue per endpoint and flush when that switch connects.
+        for k in 0..n_shards {
+            inner.feed_shard(k, |relay, fx| relay.start_into(fx));
         }
 
-        let timer_thread = {
-            let inner = Arc::clone(&inner);
-            std::thread::spawn(move || inner.timer_loop())
-        };
-
-        let worker_threads: Vec<JoinHandle<()>> = (0..n_workers)
-            .map(|w| {
-                let inner = Arc::clone(&inner);
-                std::thread::spawn(move || worker_loop(&inner, w))
-            })
-            .collect();
-
-        let accept_inner = Arc::clone(&inner);
-        let controller_addr = self.config.controller_addr;
-        let accept_thread = std::thread::spawn(move || {
-            for incoming in listener.incoming() {
-                if accept_inner.stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(switch_stream) = incoming else {
-                    continue;
-                };
-                // Claim the lowest free switch slot; a switch that
-                // disconnected frees its slot for the reconnect.  Only this
-                // thread claims, so the scan is race-free.
-                let claimed = (0..accept_inner.n_switches).find(|&i| {
-                    let mut slot = accept_inner.slots[i].state.lock().unwrap();
-                    if slot.attached {
-                        return false;
-                    }
-                    slot.attached = true;
-                    slot.generation += 1;
-                    true
-                });
-                let Some(slot_idx) = claimed else {
-                    // More switches than the engine was built for.
-                    continue;
-                };
-                let Ok(controller_stream) = TcpStream::connect(controller_addr) else {
-                    // Controller unavailable: free the slot and drop the
-                    // switch connection so it retries.  Roll the generation
-                    // back too — this claim never became an attach, and a
-                    // generation > 1 on the next successful attach would be
-                    // misread as a restart reconnect.
-                    let mut slot = accept_inner.slots[slot_idx].state.lock().unwrap();
-                    slot.attached = false;
-                    slot.generation -= 1;
-                    continue;
-                };
-                accept_inner.counters.connections.inc();
-                let generation = attach(&accept_inner, slot_idx, switch_stream, controller_stream);
-                if generation > 1 {
-                    // The slot was attached before: this is a restarted
-                    // switch reattaching.  Tell the engine so it re-installs
-                    // its catch/probe rules and re-issues every unconfirmed
-                    // controller modification on the fresh channel.
-                    accept_inner.dispatch(Input::SwitchReconnected {
-                        switch: SwitchId::new(slot_idx),
-                    });
-                }
-            }
-        });
-
+        let threads = transport::start(&inner, listener)?;
         Ok(ProxyHandle {
-            local_addr,
+            local_addr: threads.local_addr,
             inner,
-            accept_thread: Some(accept_thread),
-            timer_thread: Some(timer_thread),
-            worker_threads,
+            threads,
         })
-    }
-}
-
-/// Wires one accepted switch/controller pair into its slot and hands the
-/// read halves to the owning worker.  Returns the attach generation.
-fn attach(
-    inner: &Arc<Inner>,
-    slot_idx: usize,
-    switch_stream: TcpStream,
-    controller_stream: TcpStream,
-) -> u64 {
-    let _ = switch_stream.set_nodelay(true);
-    let _ = controller_stream.set_nodelay(true);
-    // O_NONBLOCK lives on the file description, so the write clones below
-    // share it: every read and write on this pair is nonblocking.
-    let _ = switch_stream.set_nonblocking(true);
-    let _ = controller_stream.set_nonblocking(true);
-    let switch_writer = switch_stream.try_clone().expect("clone switch stream");
-    let controller_writer = controller_stream
-        .try_clone()
-        .expect("clone controller stream");
-
-    let generation = {
-        let mut slot = inner.slots[slot_idx].state.lock().unwrap();
-        slot.to_switch.on_attach(switch_writer);
-        slot.to_controller.on_attach(controller_writer);
-        slot.generation
-    };
-    // Flush whatever queued while the slot was down (catch rules from
-    // start-up, messages engines emitted between detach and reattach).
-    inner.flush_slot(slot_idx);
-
-    let w = inner.worker_of(slot_idx);
-    inner.workers[w].inbox.lock().unwrap().push(NewConn {
-        slot: slot_idx,
-        generation,
-        switch_stream,
-        controller_stream,
-    });
-    inner.workers[w].waker.wake();
-    generation
-}
-
-/// The read half of one endpoint owned by a worker: the nonblocking stream
-/// plus its framing state.
-struct IoHalf {
-    stream: TcpStream,
-    codec: OfCodec,
-}
-
-struct ConnIo {
-    slot: usize,
-    generation: u64,
-    switch: IoHalf,
-    controller: IoHalf,
-}
-
-/// One worker's event loop: poll its waker plus both sockets of every
-/// connection it owns; drain readable sockets into the shard router,
-/// flush writable outbox residue, detach dead pairs.
-fn worker_loop(inner: &Arc<Inner>, w: usize) {
-    let mut conns: Vec<ConnIo> = Vec::new();
-    let mut fds: Vec<PollFd> = Vec::new();
-    // fds[1 + j] belongs to fd_of[j] = (conn index, is_switch_side).
-    let mut fd_of: Vec<(usize, bool)> = Vec::new();
-    let mut read_buf = vec![0u8; 64 * 1024];
-    let mut msgs: Vec<OfMessage> = Vec::new();
-    let mut inputs: Vec<Input> = Vec::new();
-    let mut dead: Vec<usize> = Vec::new();
-
-    loop {
-        if inner.stop.load(Ordering::SeqCst) {
-            for conn in &conns {
-                let _ = conn.switch.stream.shutdown(Shutdown::Both);
-                let _ = conn.controller.stream.shutdown(Shutdown::Both);
-            }
-            return;
-        }
-        // Adopt connections the accept thread handed over.
-        {
-            let mut inbox = inner.workers[w].inbox.lock().unwrap();
-            for nc in inbox.drain(..) {
-                conns.push(ConnIo {
-                    slot: nc.slot,
-                    generation: nc.generation,
-                    switch: IoHalf {
-                        stream: nc.switch_stream,
-                        codec: OfCodec::new(),
-                    },
-                    controller: IoHalf {
-                        stream: nc.controller_stream,
-                        codec: OfCodec::new(),
-                    },
-                });
-            }
-        }
-
-        // Build the poll set: waker first, then each connection's sockets
-        // with write interest only where outbox residue exists.
-        fds.clear();
-        fd_of.clear();
-        fds.push(PollFd::new(inner.workers[w].waker.fd(), true, false));
-        for (ci, conn) in conns.iter().enumerate() {
-            let (sw_w, ct_w) = {
-                let slot = inner.slots[conn.slot].state.lock().unwrap();
-                (
-                    slot.to_switch.wants_write(),
-                    slot.to_controller.wants_write(),
-                )
-            };
-            fds.push(PollFd::new(conn.switch.stream.as_raw_fd(), true, sw_w));
-            fd_of.push((ci, true));
-            fds.push(PollFd::new(conn.controller.stream.as_raw_fd(), true, ct_w));
-            fd_of.push((ci, false));
-        }
-
-        // A finite timeout keeps the stop flag honoured even if a wake is
-        // lost; all real work arrives through readiness or the waker.
-        poll_fds(&mut fds, 500);
-        if fds[0].readable() {
-            inner.workers[w].waker.drain();
-        }
-
-        dead.clear();
-        for (j, &(ci, is_switch)) in fd_of.iter().enumerate() {
-            let pfd = fds[1 + j];
-            if pfd.writable() {
-                inner.flush_slot(conns[ci].slot);
-            }
-            if pfd.readable() || pfd.hangup() {
-                let alive = service_read(
-                    inner,
-                    &mut conns[ci],
-                    is_switch,
-                    &mut read_buf,
-                    &mut msgs,
-                    &mut inputs,
-                );
-                if !alive {
-                    dead.push(ci);
-                }
-            }
-        }
-        if !dead.is_empty() {
-            dead.sort_unstable();
-            dead.dedup();
-            // Highest index first so earlier removals don't shift later ones;
-            // swap_remove is safe because the moved element's index is > ci.
-            for &ci in dead.iter().rev() {
-                let conn = conns.swap_remove(ci);
-                let _ = conn.switch.stream.shutdown(Shutdown::Both);
-                let _ = conn.controller.stream.shutdown(Shutdown::Both);
-                inner.detach(conn.slot, conn.generation);
-            }
-        }
-    }
-}
-
-/// Drains one endpoint's socket (bounded per wakeup for fairness across
-/// the poll set), decodes frames and routes the batch into the shards.
-/// Returns `false` when the connection is dead (EOF, error, bad framing).
-fn service_read(
-    inner: &Arc<Inner>,
-    conn: &mut ConnIo,
-    is_switch: bool,
-    buf: &mut [u8],
-    msgs: &mut Vec<OfMessage>,
-    inputs: &mut Vec<Input>,
-) -> bool {
-    let switch = SwitchId::new(conn.slot);
-    let half = if is_switch {
-        &mut conn.switch
-    } else {
-        &mut conn.controller
-    };
-    let mut total = 0usize;
-    loop {
-        let n = match half.stream.read(buf) {
-            Ok(0) => return false,
-            Ok(n) => n,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return false,
-        };
-        half.codec.feed(&buf[..n]);
-        msgs.clear();
-        let framing_ok = half.codec.drain_messages_into(msgs).is_ok();
-        if !msgs.is_empty() {
-            inputs.clear();
-            inputs.extend(msgs.drain(..).map(|message| {
-                if is_switch {
-                    Input::FromSwitch { switch, message }
-                } else {
-                    Input::FromController { switch, message }
-                }
-            }));
-            inner.dispatch_batch(inputs);
-        }
-        if !framing_ok {
-            return false; // framing error: give up on this connection
-        }
-        total += n;
-        if total >= READ_BUDGET {
-            // Yield to the rest of the poll set; level-triggered readiness
-            // brings us straight back if more is pending.
-            return true;
-        }
-        if n < buf.len() {
-            return true; // drained the socket
-        }
     }
 }
 
@@ -985,9 +473,10 @@ pub fn wait_for(mut predicate: impl FnMut() -> bool, timeout: Duration) -> bool 
 mod tests {
     use super::*;
     use openflow::messages::FlowMod;
-    use openflow::OfMatch;
+    use openflow::{OfCodec, OfMatch};
     use rum::TechniqueConfig;
-    use std::time::Instant;
+    use std::io::{Read, Write};
+    use std::thread::JoinHandle;
 
     /// A minimal in-process "switch": connects to the proxy, answers every
     /// barrier request immediately (the buggy behaviour) and every echo.

@@ -1,5 +1,6 @@
 //! A minimal readiness reactor over `poll(2)` — the event-loop substrate of
-//! the sharded proxy and the fabric-wired switch hosts.
+//! the crate's transport (the proxy and both controllers) and of the
+//! fabric-wired switch hosts.
 //!
 //! The standard library exposes blocking sockets only, and the workspace
 //! deliberately carries no external event-loop dependency, so this module

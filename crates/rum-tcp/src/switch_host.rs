@@ -107,14 +107,21 @@ pub struct Fabric {
     inner: Arc<FabricInner>,
 }
 
+/// A packet on the fabric and the port it arrives on.
+type Arrival = (PacketHeader, PortNo);
+/// An attached switch's inbox and the waker of its serve loop.
+type Inbox = (Sender<Arrival>, Arc<Waker>);
+
 #[derive(Default)]
 struct FabricInner {
     links: Mutex<HashMap<(usize, PortNo), (usize, PortNo)>>,
-    inboxes: Mutex<HashMap<usize, Sender<(PacketHeader, PortNo)>>>,
-    /// Per-switch wake-ups: a serve loop blocked in `poll` on its socket is
-    /// interrupted the instant a packet lands in its inbox, so probe hops
-    /// are event-driven instead of bounded below by a poll quantum.
-    wakers: Mutex<HashMap<usize, Arc<Waker>>>,
+    /// Per attached switch: its inbox and its wake-up.  A serve loop
+    /// blocked in `poll` on its socket is interrupted the instant a packet
+    /// lands in its inbox, so probe hops are event-driven instead of
+    /// bounded below by a poll quantum.
+    inboxes: Mutex<HashMap<usize, Inbox>>,
+    /// Packets put on an unlinked port or towards an unattached switch.
+    drops: AtomicU64,
 }
 
 impl Fabric {
@@ -142,32 +149,40 @@ impl Fabric {
         ports
     }
 
-    fn attach(&self, idx: usize) -> Receiver<(PacketHeader, PortNo)> {
-        let (tx, rx) = channel();
-        self.inner.inboxes.lock().unwrap().insert(idx, tx);
-        rx
+    /// Packets the fabric dropped because their port had no link or the
+    /// linked switch was not attached.
+    pub fn drops(&self) -> u64 {
+        self.inner.drops.load(Ordering::SeqCst)
     }
 
-    /// Registers the waker a serve loop polls alongside its socket, so
-    /// [`Fabric::send`] can interrupt the peer's sleep the moment a packet
-    /// arrives.
-    fn register_waker(&self, idx: usize, waker: Arc<Waker>) {
-        self.inner.wakers.lock().unwrap().insert(idx, waker);
+    /// Attaches switch `idx`: its inbox, plus the waker its serve loop
+    /// polls alongside its socket, so [`Fabric::send`] can interrupt the
+    /// switch's sleep the moment a packet arrives.
+    fn attach(&self, idx: usize) -> std::io::Result<(Receiver<Arrival>, Arc<Waker>)> {
+        let waker = Arc::new(Waker::new()?);
+        let (tx, rx) = channel();
+        let inbox = (tx, Arc::clone(&waker));
+        self.inner.inboxes.lock().unwrap().insert(idx, inbox);
+        Ok((rx, waker))
     }
 
     /// Puts `header` on switch `from`'s `out_port`; it arrives at the peer
-    /// (if the port is linked and the peer is attached) and wakes the
-    /// peer's serve loop immediately.
+    /// and wakes the peer's serve loop immediately, or counts as a drop
+    /// when the port is unlinked or the peer is not attached.
     fn send(&self, from: usize, out_port: PortNo, header: PacketHeader) {
-        let Some(&(peer, peer_port)) = self.inner.links.lock().unwrap().get(&(from, out_port))
-        else {
-            return;
-        };
-        if let Some(tx) = self.inner.inboxes.lock().unwrap().get(&peer) {
-            let _ = tx.send((header, peer_port));
-        }
-        if let Some(waker) = self.inner.wakers.lock().unwrap().get(&peer) {
-            waker.wake();
+        let link = self
+            .inner
+            .links
+            .lock()
+            .unwrap()
+            .get(&(from, out_port))
+            .copied();
+        let inboxes = self.inner.inboxes.lock().unwrap();
+        match link.and_then(|(peer, port)| Some((inboxes.get(&peer)?, port))) {
+            Some(((tx, waker), port)) if tx.send((header, port)).is_ok() => waker.wake(),
+            _ => {
+                self.inner.drops.fetch_add(1, Ordering::SeqCst);
+            }
         }
     }
 }
@@ -220,12 +235,17 @@ pub fn spawn_switch_with(
     options: SwitchHostOptions,
 ) -> std::io::Result<SocketSwitchHandle> {
     let stream = TcpStream::connect(addr)?;
+    // Everything the peer or a fabric neighbour can reach — behaviour
+    // engine, preinstalled rules, fabric inbox and waker — exists before
+    // the serve thread does, so it is live once this returns.
+    let host = Host::new(model, &options)?;
     let counters = Arc::new(SwitchCounters::default());
     let stop = Arc::new(AtomicBool::new(false));
     let thread = {
         let counters = Arc::clone(&counters);
         let stop = Arc::clone(&stop);
-        std::thread::spawn(move || run(stream, addr, model, options, &counters, &stop))
+        let reconnect_delay = options.reconnect_delay;
+        std::thread::spawn(move || run(stream, addr, host, reconnect_delay, &counters, &stop))
     };
     Ok(SocketSwitchHandle {
         counters,
@@ -266,7 +286,7 @@ struct Host {
     behavior: Behavior,
     epoch: Instant,
     fabric: Option<(Fabric, usize)>,
-    fabric_rx: Option<Receiver<(PacketHeader, PortNo)>>,
+    fabric_rx: Option<Receiver<Arrival>>,
     /// Polled alongside the socket when a fabric is wired: `Fabric::send`
     /// into this switch's inbox interrupts the serve loop's sleep, so hop
     /// delivery latency is wake-driven, not quantised by a poll interval.
@@ -283,6 +303,28 @@ struct Host {
 }
 
 impl Host {
+    fn new(model: SwitchModel, options: &SwitchHostOptions) -> std::io::Result<Host> {
+        let mut behavior = Behavior::new(model, options.faults.clone());
+        for fm in &options.preinstall {
+            behavior.preinstall(fm);
+        }
+        let fabric = options.fabric.as_ref();
+        let (fabric_rx, fabric_waker) = fabric.map(|(f, idx)| f.attach(*idx)).transpose()?.unzip();
+        Ok(Host {
+            behavior,
+            epoch: options.epoch.unwrap_or_else(Instant::now),
+            fabric: options.fabric.clone(),
+            fabric_rx,
+            fabric_waker,
+            deferred: BinaryHeap::new(),
+            next_defer_seq: 0,
+            actions: Vec::new(),
+            reply_buf: Vec::new(),
+            disconnect: false,
+            hello_pending: false,
+        })
+    }
+
     fn now(&self) -> Duration {
         self.epoch.elapsed()
     }
@@ -459,39 +501,11 @@ fn interruptible_sleep(delay: Duration, stop: &AtomicBool) {
 fn run(
     first_stream: TcpStream,
     addr: SocketAddr,
-    model: SwitchModel,
-    options: SwitchHostOptions,
+    mut host: Host,
+    reconnect_delay: Option<Duration>,
     counters: &SwitchCounters,
     stop: &AtomicBool,
 ) -> SwitchReport {
-    let epoch = options.epoch.unwrap_or_else(Instant::now);
-    let mut behavior = Behavior::new(model, options.faults.clone());
-    for fm in &options.preinstall {
-        behavior.preinstall(fm);
-    }
-    let fabric_rx = options
-        .fabric
-        .as_ref()
-        .map(|(fabric, idx)| fabric.attach(*idx));
-    let fabric_waker = options.fabric.as_ref().and_then(|(fabric, idx)| {
-        let waker = Arc::new(Waker::new().ok()?);
-        fabric.register_waker(*idx, Arc::clone(&waker));
-        Some(waker)
-    });
-    let mut host = Host {
-        behavior,
-        epoch,
-        fabric: options.fabric.clone(),
-        fabric_rx,
-        fabric_waker,
-        deferred: BinaryHeap::new(),
-        next_defer_seq: 0,
-        actions: Vec::new(),
-        reply_buf: Vec::new(),
-        disconnect: false,
-        hello_pending: false,
-    };
-
     let mut stream = Some(first_stream);
     // Consecutive post-reboot connections that died before a single message
     // was exchanged: the listener accepted and immediately dropped us
@@ -507,7 +521,7 @@ fn run(
             // The restart fault: stay down for the reboot, reattach the
             // engine (queueing the handshake Hello for the next
             // connection), then re-dial below.
-            let Some(delay) = options.reconnect_delay else {
+            let Some(delay) = reconnect_delay else {
                 break;
             };
             host.disconnect = false;
@@ -709,6 +723,7 @@ fn serve_conn(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proxy::wait_for;
     use openflow::messages::FlowMod;
     use openflow::{Action, OfMatch};
     use std::net::TcpListener;
@@ -850,6 +865,18 @@ mod tests {
         assert_eq!(packet_in.in_port, 1, "arrived on switch 1's port 1");
         let punted = PacketHeader::from_bytes(&packet_in.data).unwrap();
         assert_eq!(punted.nw_src, header.nw_src);
+        assert_eq!(fabric.drops(), 0, "every hop had a linked, attached peer");
+
+        // Out of a port with no cable: the fabric counts the drop.
+        let mut wire = Vec::new();
+        OfMessage::PacketOut {
+            xid: 6,
+            body: PacketOut::single_port(9, header.to_bytes()),
+        }
+        .encode_into(&mut wire)
+        .unwrap();
+        peer_a.write_all(&wire).unwrap();
+        assert!(wait_for(|| fabric.drops() == 1, Duration::from_secs(5)));
 
         drop(peer_a);
         drop(peer_b);

@@ -1,9 +1,10 @@
 //! A monotonic timer queue shared by the socket deployments.
 //!
-//! Both the RUM proxy and the TCP update controller drive a sans-IO engine
-//! that asks for timers via "arm" effects; this queue turns those requests
-//! into callbacks on a dedicated thread.  Tokens are opaque `u64`s (the
-//! engines' raw timer tokens).
+//! Every TCP driver — the proxy and both controllers on the shared
+//! transport, and the legacy proxy — drives a sans-IO engine that asks for
+//! timers via "arm" effects; this queue turns those requests into
+//! callbacks on one dedicated thread per driver.  Tokens are opaque `u64`s
+//! (the engines' raw timer tokens).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -430,3 +430,50 @@ fn restart_re_dial_lands_in_the_freed_slot_with_one_reconnect() {
     assert_eq!(handle.stats(SwitchId::new(0)).barrier_replies_released, 1);
     handle.shutdown();
 }
+
+/// A switch whose bytes do not frame as OpenFlow — a header whose length
+/// field (4) is shorter than the 8-byte header itself — is disconnected
+/// and counted in `proxy.framing_errors`, and its re-dial attaches into
+/// the freed slot.
+#[test]
+fn framing_error_disconnects_counts_and_frees_the_slot() {
+    let (listener, handle) = start_proxy(1, 1, Duration::from_millis(30));
+    let (mut switch, _ctrl) = attach_switch(&listener, &handle, 1);
+
+    // version 1, type 0 (hello), length 4, xid 0.
+    switch.write_all(&[1, 0, 0, 4, 0, 0, 0, 0]).unwrap();
+    let mut buf = [0u8; 1024];
+    loop {
+        match switch.read(&mut buf) {
+            Ok(0) => break,
+            Ok(_) => continue,
+            Err(e) => panic!("the proxy kept a connection that cannot frame: {e}"),
+        }
+    }
+    assert_eq!(handle.counters().framing_errors(), 1);
+
+    let mut replacement = None;
+    assert!(
+        wait_for(
+            || {
+                if handle.counters().connections() >= 2 {
+                    return true;
+                }
+                replacement = TcpStream::connect(handle.local_addr).ok();
+                false
+            },
+            Duration::from_secs(5),
+        ),
+        "re-dial after the framing error was not attached"
+    );
+    let (_ctrl_b, _) = listener.accept().expect("proxy re-dials controller");
+    assert!(
+        wait_for(
+            || handle.stats(SwitchId::new(0)).reconnects == 1,
+            Duration::from_secs(5),
+        ),
+        "the re-dial must land in the freed slot 0"
+    );
+    assert_eq!(handle.counters().framing_errors(), 1);
+    handle.shutdown();
+}
