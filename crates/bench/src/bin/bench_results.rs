@@ -3,7 +3,7 @@
 //! indexed vs. linear-scan baseline, telemetry-instrumented install for the
 //! metric-overhead row, codec encode/decode, engine/session drains), and
 //! the technique × fault scenario matrix on both drivers, and writes
-//! machine-readable aggregates to `BENCH_results.json` (schema 5 — see
+//! machine-readable aggregates to `BENCH_results.json` (schema 8 — see
 //! `rum_bench::report::results_json`), so the performance and reliability
 //! trajectory is tracked across PRs instead of only being pretty-printed.
 //!

@@ -1,765 +1,469 @@
-//! Validates a `BENCH_results.json` document against the shapes
-//! `bench_results` writes (see `rum_bench::report::results_json`), so CI
-//! catches a broken harness before a stale or malformed results file lands.
-//! Schema 5 (throughput gains the `telemetry_overhead/*` rows measuring the
-//! metric hot path against the uninstrumented workload), schema 4 (matrix
-//! rows carry per-technique `applicable` flags and must cover the `restart`
-//! fault on both drivers), schema 3 (latency + throughput +
-//! scenario-matrix sections) and the older schema 2 (no matrix) are all
-//! accepted; matrix rows must carry finite false-ack/missed-ack rates
-//! inside `[0, 1]` and internally consistent counts, and not-applicable
-//! rows must be all-zero placeholders.
+//! Validates a `BENCH_results.json` document against the one schema
+//! `bench_results` writes (schema 8, see `rum_bench::report::results_json`),
+//! so CI catches a broken harness before a stale or malformed results file
+//! lands.  Any other `"schema"` value is rejected.
 //!
 //! Usage: `validate_results [path] [min_speedup] [max_overhead]
 //! [min_soak_sessions] [min_wire_speedup] [min_matrix_switches]`
 //! (defaults: `BENCH_results.json`, no speedup floor, 3% overhead cap,
-//! ≥ 1 soak session, no wire-speedup floor, no switch-count floor).  When
-//! `min_speedup` is given, every `flow_mod_install/indexed_*` row must
-//! carry a `speedup` field of at least that factor over the linear-scan
-//! baseline.  In a schema-5+ file,
-//! every `telemetry_overhead/*` row must carry a finite `overhead_pct`
-//! below `max_overhead`, and at least one such row must exist —
-//! instrumentation that slows the hot path down (or silently stops being
-//! measured) fails the gate.  Schema 6 adds the `session_soak` section
-//! (the multi-tenant `sessiond` soak): both drivers must be present, every
-//! row must carry **zero false acks**, a complete tenant population
-//! (`completed == sessions`, zero missed acks), finite tail percentiles
-//! (p50 ≤ p99 ≤ p99.9), and at least `min_soak_sessions` concurrent
-//! sessions — the "millions of users" regression gate.  Schema 7 adds the
-//! declarative-resync verdict to the scenario matrix: applicable
-//! `restart_resync` rows must exist on **both** drivers and prove the wiped
-//! table was restored (`resync_converged`, `resync_final_diff == 0`,
-//! `resync_table_matches`); the fields are rejected anywhere else.
-//! Schema 8 is the sharded-proxy scale layer: every scenario-matrix and
-//! session-soak row carries its fleet size (`switches`), the throughput
-//! section must include a `wire_e2e/*` row (flow-mods/s through a real TCP
-//! proxy, with the pre-shard thread-per-connection proxy as its in-run
-//! baseline, so `speedup` is the sharding win) gated by
-//! `min_wire_speedup`, and when `min_matrix_switches` is given, **both**
-//! drivers must carry an applicable probing (`rum-*`) matrix row with zero
-//! false acks at at least that many switches, plus a TCP soak row at the
-//! same fleet size — the 1,000-switch regression gate.
+//! ≥ 1 soak session, no wire-speedup floor, no switch-count floor).  An
+//! argument that is present but does not parse is an error, never a
+//! disabled gate.
 //!
-//! The build environment has no serde, so this ships a minimal JSON parser —
-//! enough for the flat document the harness emits.
+//! The gates:
+//!
+//! * **finite, in-range rates** — matrix `false_ack_rate`/`missed_ack_rate`
+//!   are finite and inside `[0, 1]` (`null` reads as NaN and fails);
+//!   throughput rows carry finite, positive rates.
+//! * **count consistency** — matrix and soak rows satisfy
+//!   `confirmed + missed == planned` and no count exceeds the plan; a false
+//!   ack is a confirmation, so `false_acks <= confirmed`.
+//! * **not-applicable placeholders** — a matrix cell with
+//!   `"applicable": false` was never run and must be all zeros with a `null`
+//!   completion time.
+//! * **restart rows on both drivers** — an applicable `restart` matrix row
+//!   exists for `simnet` and for `tcp`.
+//! * **resync verdicts** — every applicable `restart_resync` row carries a
+//!   converged reconciliation (`rounds > 0`, `final_diff == 0`, ground-truth
+//!   `table_matches`), on both drivers; `resync_*` fields appear nowhere
+//!   else.
+//! * **soak** — every `session_soak` row has zero false and stray acks, a
+//!   complete tenant population (`completed == sessions`, zero missed
+//!   acks), finite monotone tails (p50 ≤ p99 ≤ p99.9), at least
+//!   `min_soak_sessions` sessions, and both drivers are present.
+//! * **overhead cap** — at least one `telemetry_overhead/*` row, each with a
+//!   finite `overhead_pct` below `max_overhead`; no other row carries one.
+//! * **install speedup floor** — at least one `flow_mod_install/indexed_*`
+//!   row, each with a finite positive `speedup` of at least `min_speedup`.
+//! * **wire speedup floor** — at least one `wire_e2e/*` row, each with a
+//!   finite positive `speedup` of at least `min_wire_speedup`.
+//! * **matrix switch floor** — with `min_matrix_switches` set, both drivers
+//!   carry an applicable probing (`rum-*`) matrix row with zero false acks
+//!   and `switches >= min_matrix_switches`.
+//! * **soak switch floor** — with `min_matrix_switches` set, a `tcp` soak
+//!   row ran at `switches >= min_matrix_switches`.
 
 use std::collections::BTreeMap;
+use std::fmt::Display;
 use std::process::ExitCode;
+use std::str::FromStr;
+use telemetry::json::{self, Value};
 
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(BTreeMap<String, Json>),
-}
+/// The one schema this validator accepts.
+const SCHEMA: f64 = 8.0;
+const DRIVERS: [&str; 2] = ["simnet", "tcp"];
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn error(&self, what: &str) -> String {
-        format!("{what} at byte {}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.error(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(self.error("expected a JSON value")),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            Err(self.error(&format!("expected '{lit}'")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while self
-            .peek()
-            .is_some_and(|b| matches!(b, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| self.error("malformed number"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek().ok_or_else(|| self.error("unclosed string"))? {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.error("bad escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.error("bad \\u escape"))?;
-                            self.pos += 4;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(self.error("unknown escape")),
-                    }
-                }
-                _ => {
-                    // Multi-byte UTF-8 sequences pass through byte by byte;
-                    // the input came from a &str so it is valid UTF-8.
-                    let start = self.pos;
-                    while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
-                        self.pos += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).unwrap());
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.error("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            map.insert(key, self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(map));
-                }
-                _ => return Err(self.error("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn document(mut self) -> Result<Json, String> {
-        let v = self.value()?;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(self.error("trailing garbage"));
-        }
-        Ok(v)
-    }
-}
-
-fn get<'a>(obj: &'a BTreeMap<String, Json>, key: &str) -> Result<&'a Json, String> {
-    obj.get(key).ok_or_else(|| format!("missing key \"{key}\""))
-}
-
-fn num(obj: &BTreeMap<String, Json>, key: &str) -> Result<f64, String> {
-    match get(obj, key)? {
-        Json::Num(n) => Ok(*n),
-        Json::Null => Ok(f64::NAN), // latency of an incomplete run
-        other => Err(format!("\"{key}\" is not a number: {other:?}")),
-    }
-}
-
-/// A string field of a matrix row.
-fn string<'a>(obj: &'a BTreeMap<String, Json>, key: &str) -> Result<&'a str, String> {
-    match get(obj, key)? {
-        Json::Str(s) => Ok(s),
-        other => Err(format!("\"{key}\" is not a string: {other:?}")),
-    }
-}
-
-/// A boolean field.
-fn boolean(obj: &BTreeMap<String, Json>, key: &str) -> Result<bool, String> {
-    match get(obj, key)? {
-        Json::Bool(b) => Ok(*b),
-        other => Err(format!("\"{key}\" is not a boolean: {other:?}")),
-    }
-}
-
-/// A count: a finite, non-negative integer-valued number.
-fn count(obj: &BTreeMap<String, Json>, key: &str) -> Result<u64, String> {
-    let v = num(obj, key)?;
-    if !v.is_finite() || v < 0.0 || v.fract() != 0.0 {
-        return Err(format!("\"{key}\" is not a non-negative count: {v}"));
-    }
-    Ok(v as u64)
-}
-
-/// A rate: finite and inside `[0, 1]` — NaN (serialised as null) and
-/// negative values are rejected.
-fn rate(obj: &BTreeMap<String, Json>, key: &str) -> Result<f64, String> {
-    let v = num(obj, key)?;
-    if !v.is_finite() || !(0.0..=1.0).contains(&v) {
-        return Err(format!("\"{key}\" is not a rate in [0, 1]: {v}"));
-    }
-    Ok(v)
-}
-
-fn validate_matrix(
-    root: &BTreeMap<String, Json>,
-    schema: u32,
-    min_switches: u64,
-) -> Result<usize, String> {
-    let Json::Arr(matrix) = get(root, "scenario_matrix")? else {
-        return Err("\"scenario_matrix\" is not an array".into());
-    };
-    let mut restart_drivers: Vec<&str> = Vec::new();
-    let mut resync_drivers: Vec<&str> = Vec::new();
-    // Schema 8: drivers that proved a zero-false-ack probing run at the
-    // required fleet size.
-    let mut scale_drivers: Vec<&str> = Vec::new();
-    for (i, row) in matrix.iter().enumerate() {
-        let Json::Obj(row) = row else {
-            return Err(format!("scenario_matrix[{i}] is not an object"));
-        };
-        let context = format!("scenario_matrix[{i}]");
-        let driver = string(row, "driver").map_err(|e| format!("{context}: {e}"))?;
-        if driver != "simnet" && driver != "tcp" {
-            return Err(format!("{context}: unknown driver \"{driver}\""));
-        }
-        let fault = string(row, "fault").map_err(|e| format!("{context}: {e}"))?;
-        let technique = string(row, "technique").map_err(|e| format!("{context}: {e}"))?;
-        string(row, "experiment").map_err(|e| format!("{context}: {e}"))?;
-        // Schema 8: every row states the fleet size it ran against; older
-        // schemas predate the field.
-        let switches = match (schema >= 8, row.contains_key("switches")) {
-            (true, true) => {
-                let v = count(row, "switches").map_err(|e| format!("{context}: {e}"))?;
-                if v == 0 {
-                    return Err(format!("{context}: \"switches\" must be at least 1"));
-                }
-                v
-            }
-            (true, false) => {
-                return Err(format!("{context}: schema 8 needs a \"switches\" count"));
-            }
-            (false, true) => {
-                return Err(format!("{context}: \"switches\" requires schema 8"));
-            }
-            (false, false) => 0,
-        };
-        let planned = count(row, "planned").map_err(|e| format!("{context}: {e}"))?;
-        let confirmed = count(row, "confirmed").map_err(|e| format!("{context}: {e}"))?;
-        let false_acks = count(row, "false_acks").map_err(|e| format!("{context}: {e}"))?;
-        let missed_acks = count(row, "missed_acks").map_err(|e| format!("{context}: {e}"))?;
-        let false_rate = rate(row, "false_ack_rate").map_err(|e| format!("{context}: {e}"))?;
-        let missed_rate = rate(row, "missed_ack_rate").map_err(|e| format!("{context}: {e}"))?;
-        if confirmed > planned || false_acks > planned || missed_acks > planned {
-            return Err(format!("{context}: counts exceed the plan size {planned}"));
-        }
-        if confirmed + missed_acks != planned {
-            return Err(format!(
-                "{context}: confirmed ({confirmed}) + missed ({missed_acks}) != planned ({planned})"
-            ));
-        }
-        // A false ack is by definition a confirmation.
-        if false_acks > confirmed {
-            return Err(format!(
-                "{context}: false_acks ({false_acks}) exceed confirmed ({confirmed})"
-            ));
-        }
-        // completion_ms is optional-null but must be a finite number if set.
-        let completion_is_null =
-            match get(row, "completion_ms").map_err(|e| format!("{context}: {e}"))? {
-                Json::Null => true,
-                Json::Num(v) if v.is_finite() && *v >= 0.0 => false,
-                other => return Err(format!("{context}: bad completion_ms {other:?}")),
-            };
-        // Schema 4: per-technique applicability.  A not-applicable cell was
-        // never run and must be an all-zero placeholder; a schema-3 file
-        // predates the flag and must not carry one.
-        let mut is_applicable = true;
-        match (schema >= 4, row.get("applicable")) {
-            (true, Some(Json::Bool(applicable))) => {
-                is_applicable = *applicable;
-                if !*applicable
-                    && (planned != 0
-                        || false_rate != 0.0
-                        || missed_rate != 0.0
-                        || !completion_is_null)
-                {
-                    return Err(format!(
-                        "{context}: not-applicable cell carries measurements \
-                         (planned {planned}, rates {false_rate}/{missed_rate}, \
-                         completion null: {completion_is_null})"
-                    ));
-                }
-                if *applicable && fault == "restart" && !restart_drivers.contains(&driver) {
-                    restart_drivers.push(driver);
-                }
-            }
-            (true, other) => {
-                return Err(format!(
-                    "{context}: schema 4 needs a boolean \"applicable\", got {other:?}"
-                ));
-            }
-            (false, Some(_)) => {
-                return Err(format!("{context}: \"applicable\" requires schema 4"));
-            }
-            (false, None) => {
-                if fault == "restart" && !restart_drivers.contains(&driver) {
-                    restart_drivers.push(driver);
-                }
-            }
-        }
-        // Schema 7: the declarative-resync verdict.  Applicable
-        // restart_resync rows must prove the wiped table was restored; the
-        // fields are rejected anywhere else (older schemas, other faults,
-        // never-run cells).
-        if row.keys().any(|k| k.starts_with("resync_")) {
-            if schema < 7 {
-                return Err(format!("{context}: resync fields require schema 7"));
-            }
-            if fault != "restart_resync" {
-                return Err(format!(
-                    "{context}: resync fields are only valid on restart_resync rows"
-                ));
-            }
-            if !is_applicable {
-                return Err(format!(
-                    "{context}: not-applicable cell carries resync fields"
-                ));
-            }
-            let converged =
-                boolean(row, "resync_converged").map_err(|e| format!("{context}: {e}"))?;
-            let rounds = count(row, "resync_rounds").map_err(|e| format!("{context}: {e}"))?;
-            let final_diff =
-                count(row, "resync_final_diff").map_err(|e| format!("{context}: {e}"))?;
-            count(row, "resync_delta_mods").map_err(|e| format!("{context}: {e}"))?;
-            let table_matches =
-                boolean(row, "resync_table_matches").map_err(|e| format!("{context}: {e}"))?;
-            if !converged || rounds == 0 || final_diff != 0 || !table_matches {
-                return Err(format!(
-                    "{context}: resync failed to restore the table (converged {converged}, \
-                     rounds {rounds}, final_diff {final_diff}, table_matches {table_matches})"
-                ));
-            }
-            if !resync_drivers.contains(&driver) {
-                resync_drivers.push(driver);
-            }
-        } else if schema >= 7 && fault == "restart_resync" && is_applicable {
-            return Err(format!(
-                "{context}: applicable restart_resync row is missing its resync verdict"
-            ));
-        }
-        // Schema 8: an applicable probing row with a clean verdict at the
-        // required fleet size counts towards the scale gate.
-        if is_applicable
-            && technique.starts_with("rum-")
-            && false_acks == 0
-            && min_switches > 0
-            && switches >= min_switches
-            && !scale_drivers.contains(&driver)
-        {
-            scale_drivers.push(driver);
-        }
-    }
-    // Schema 4 turned restart survival into a load-bearing claim: a results
-    // file that silently dropped the restart column on either driver is
-    // stale or produced by a broken harness.
-    if schema >= 4 {
-        for required in ["simnet", "tcp"] {
-            if !restart_drivers.contains(&required) {
-                return Err(format!(
-                    "schema 4 requires restart rows for both drivers; \"{required}\" is missing"
-                ));
-            }
-        }
-    }
-    // Schema 7 turned resync-after-restart into a load-bearing claim: a
-    // results file without a converged restart_resync row on each driver is
-    // stale or produced by a harness whose reconciler no longer converges.
-    if schema >= 7 {
-        for required in ["simnet", "tcp"] {
-            if !resync_drivers.contains(&required) {
-                return Err(format!(
-                    "schema 7 requires converged restart_resync rows for both drivers; \
-                     \"{required}\" is missing"
-                ));
-            }
-        }
-    }
-    // The schema-8 scale gate: when a switch-count floor is demanded, both
-    // drivers must have proved a zero-false-ack probing run at (at least)
-    // that fleet size, or the sharded proxy's headline claim is stale.
-    if min_switches > 0 {
-        if schema < 8 {
-            return Err(format!(
-                "a {min_switches}-switch floor needs schema 8 rows carrying \"switches\""
-            ));
-        }
-        for required in ["simnet", "tcp"] {
-            if !scale_drivers.contains(&required) {
-                return Err(format!(
-                    "no applicable zero-false-ack probing row with switches >= {min_switches} \
-                     on driver \"{required}\""
-                ));
-            }
-        }
-    }
-    Ok(matrix.len())
-}
-
-/// Validates the schema-6 `session_soak` section: the multi-tenant soak's
-/// verdicts must hold on both drivers or the gate fails.
-fn validate_soak(
-    root: &BTreeMap<String, Json>,
-    min_sessions: u64,
-    schema: u32,
-    min_switches: u64,
-) -> Result<usize, String> {
-    let Json::Arr(soak) = get(root, "session_soak")? else {
-        return Err("\"session_soak\" is not an array".into());
-    };
-    let mut drivers: Vec<&str> = Vec::new();
-    // Schema 8: the largest fleet a clean TCP soak ran against.
-    let mut tcp_scale: u64 = 0;
-    for (i, row) in soak.iter().enumerate() {
-        let Json::Obj(row) = row else {
-            return Err(format!("session_soak[{i}] is not an object"));
-        };
-        let context = format!("session_soak[{i}]");
-        let driver = string(row, "driver").map_err(|e| format!("{context}: {e}"))?;
-        if driver != "simnet" && driver != "tcp" {
-            return Err(format!("{context}: unknown driver \"{driver}\""));
-        }
-        string(row, "fault").map_err(|e| format!("{context}: {e}"))?;
-        string(row, "experiment").map_err(|e| format!("{context}: {e}"))?;
-        // Schema 8: every soak row states the fleet size it ran against.
-        let switches = match (schema >= 8, row.contains_key("switches")) {
-            (true, true) => {
-                let v = count(row, "switches").map_err(|e| format!("{context}: {e}"))?;
-                if v == 0 {
-                    return Err(format!("{context}: \"switches\" must be at least 1"));
-                }
-                v
-            }
-            (true, false) => {
-                return Err(format!("{context}: schema 8 needs a \"switches\" count"));
-            }
-            (false, true) => {
-                return Err(format!("{context}: \"switches\" requires schema 8"));
-            }
-            (false, false) => 0,
-        };
-        let sessions = count(row, "sessions").map_err(|e| format!("{context}: {e}"))?;
-        let completed = count(row, "completed").map_err(|e| format!("{context}: {e}"))?;
-        let aborted = count(row, "aborted").map_err(|e| format!("{context}: {e}"))?;
-        let planned = count(row, "planned_mods").map_err(|e| format!("{context}: {e}"))?;
-        let confirmed = count(row, "confirmed_mods").map_err(|e| format!("{context}: {e}"))?;
-        let false_acks = count(row, "false_acks").map_err(|e| format!("{context}: {e}"))?;
-        let missed_acks = count(row, "missed_acks").map_err(|e| format!("{context}: {e}"))?;
-        let stray_acks = count(row, "stray_acks").map_err(|e| format!("{context}: {e}"))?;
-        if sessions < min_sessions {
-            return Err(format!(
-                "{context}: only {sessions} concurrent sessions, required >= {min_sessions}"
-            ));
-        }
-        if completed + aborted > sessions || confirmed > planned {
-            return Err(format!("{context}: counts exceed the population"));
-        }
-        if confirmed + missed_acks != planned {
-            return Err(format!(
-                "{context}: confirmed ({confirmed}) + missed ({missed_acks}) != planned ({planned})"
-            ));
-        }
-        // The soak's load-bearing claims: probing never lies, and the whole
-        // tenant population finishes inside the budget.
-        if false_acks > 0 {
-            return Err(format!("{context}: {false_acks} false acks (must be 0)"));
-        }
-        if completed != sessions || missed_acks > 0 {
-            return Err(format!(
-                "{context}: incomplete soak ({completed}/{sessions} sessions, \
-                 {missed_acks} missed acks)"
-            ));
-        }
-        if stray_acks > 0 {
-            return Err(format!("{context}: {stray_acks} stray acks (must be 0)"));
-        }
-        let p50 = num(row, "p50_confirm_ms").map_err(|e| format!("{context}: {e}"))?;
-        let p99 = num(row, "p99_confirm_ms").map_err(|e| format!("{context}: {e}"))?;
-        let p999 = num(row, "p999_confirm_ms").map_err(|e| format!("{context}: {e}"))?;
-        let wall = num(row, "wall_ms").map_err(|e| format!("{context}: {e}"))?;
-        for (name, v) in [("p50", p50), ("p99", p99), ("p99.9", p999), ("wall", wall)] {
-            if !v.is_finite() || v < 0.0 {
-                return Err(format!("{context}: non-finite {name}_confirm_ms {v}"));
-            }
-        }
-        if !(p50 <= p99 && p99 <= p999) {
-            return Err(format!(
-                "{context}: percentiles not monotone (p50 {p50}, p99 {p99}, p99.9 {p999})"
-            ));
-        }
-        if !drivers.contains(&driver) {
-            drivers.push(driver);
-        }
-        if driver == "tcp" {
-            tcp_scale = tcp_scale.max(switches);
-        }
-    }
-    for required in ["simnet", "tcp"] {
-        if !drivers.contains(&required) {
-            return Err(format!(
-                "schema 6 requires session_soak rows for both drivers; \"{required}\" is missing"
-            ));
-        }
-    }
-    // The schema-8 scale gate: the soak must have run over the sharded
-    // proxy at (at least) the demanded fleet size on the real-socket
-    // driver.  Every row already passed the zero-false/missed/stray gates
-    // above, so reaching the floor is the only remaining claim.
-    if min_switches > 0 && tcp_scale < min_switches {
-        return Err(format!(
-            "no tcp session_soak row with switches >= {min_switches} (largest: {tcp_scale})"
-        ));
-    }
-    Ok(soak.len())
-}
-
-fn validate(
-    doc: &Json,
+/// The gate thresholds: one per positional argument after the path.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Floors {
     min_speedup: Option<f64>,
     max_overhead: f64,
     min_soak_sessions: u64,
     min_wire_speedup: Option<f64>,
     min_matrix_switches: u64,
-) -> Result<(usize, usize, usize, usize), String> {
-    let Json::Obj(root) = doc else {
-        return Err("document root is not an object".into());
-    };
-    let schema = match get(root, "schema")? {
-        Json::Num(v) if (2.0..=8.0).contains(v) && v.fract() == 0.0 => *v as u32,
-        other => {
-            return Err(format!(
-                "schema must be 2, 3, 4, 5, 6, 7 or 8, got {other:?}"
-            ))
+}
+
+impl Default for Floors {
+    fn default() -> Self {
+        Floors {
+            min_speedup: None,
+            max_overhead: 3.0,
+            min_soak_sessions: 1,
+            min_wire_speedup: None,
+            min_matrix_switches: 0,
         }
-    };
-    let Json::Arr(results) = get(root, "results")? else {
-        return Err("\"results\" is not an array".into());
-    };
-    for (i, row) in results.iter().enumerate() {
-        let Json::Obj(row) = row else {
-            return Err(format!("results[{i}] is not an object"));
-        };
-        match get(row, "experiment")? {
-            Json::Str(_) => {}
-            other => return Err(format!("results[{i}].experiment: {other:?}")),
-        }
-        num(row, "median_completion_ms")?;
-        num(row, "p95_completion_ms")?;
-        num(row, "confirms")?;
-        num(row, "runs")?;
     }
-    let Json::Arr(throughput) = get(root, "throughput")? else {
-        return Err("\"throughput\" is not an array".into());
-    };
-    if throughput.is_empty() {
+}
+
+/// Parses `args[n]` when present; an unparsable argument is an error that
+/// names it.
+fn arg<T: FromStr>(args: &[String], n: usize, name: &str) -> Result<Option<T>, String> {
+    args.get(n)
+        .map(|s| {
+            s.parse()
+                .map_err(|_| format!("argument {n} ({name}) is not a number: \"{s}\""))
+        })
+        .transpose()
+}
+
+/// The floors named by the command line (`args[0]` is the program).
+fn floors(args: &[String]) -> Result<Floors, String> {
+    let d = Floors::default();
+    Ok(Floors {
+        min_speedup: arg(args, 2, "min_speedup")?,
+        max_overhead: arg(args, 3, "max_overhead")?.unwrap_or(d.max_overhead),
+        min_soak_sessions: arg(args, 4, "min_soak_sessions")?.unwrap_or(d.min_soak_sessions),
+        min_wire_speedup: arg(args, 5, "min_wire_speedup")?,
+        min_matrix_switches: arg(args, 6, "min_matrix_switches")?.unwrap_or(d.min_matrix_switches),
+    })
+}
+
+/// One object row of a section, with its position for error messages.
+struct Row<'a> {
+    obj: &'a BTreeMap<String, Value>,
+    at: String,
+}
+
+impl<'a> Row<'a> {
+    fn err(&self, what: impl Display) -> String {
+        format!("{}: {what}", self.at)
+    }
+
+    fn get(&self, key: &str) -> Result<&'a Value, String> {
+        self.obj
+            .get(key)
+            .ok_or_else(|| self.err(format!("missing key \"{key}\"")))
+    }
+
+    /// A number; `null` (how the writer spells NaN) reads as NaN.
+    fn num(&self, key: &str) -> Result<f64, String> {
+        match self.get(key)? {
+            Value::Null => Ok(f64::NAN),
+            v => v
+                .as_f64()
+                .ok_or_else(|| self.err(format!("\"{key}\" is not a number: {v:?}"))),
+        }
+    }
+
+    fn string(&self, key: &str) -> Result<&'a str, String> {
+        let v = self.get(key)?;
+        v.as_str()
+            .ok_or_else(|| self.err(format!("\"{key}\" is not a string: {v:?}")))
+    }
+
+    fn boolean(&self, key: &str) -> Result<bool, String> {
+        let v = self.get(key)?;
+        v.as_bool()
+            .ok_or_else(|| self.err(format!("\"{key}\" is not a boolean: {v:?}")))
+    }
+
+    /// A finite, non-negative, integer-valued number.
+    fn count(&self, key: &str) -> Result<u64, String> {
+        let v = self.num(key)?;
+        if !v.is_finite() || v < 0.0 || v.fract() != 0.0 {
+            return Err(self.err(format!("\"{key}\" is not a non-negative count: {v}")));
+        }
+        Ok(v as u64)
+    }
+
+    /// A finite rate inside `[0, 1]`.
+    fn rate(&self, key: &str) -> Result<f64, String> {
+        let v = self.num(key)?;
+        if !v.is_finite() || !(0.0..=1.0).contains(&v) {
+            return Err(self.err(format!("\"{key}\" is not a rate in [0, 1]: {v}")));
+        }
+        Ok(v)
+    }
+
+    fn driver(&self) -> Result<&'a str, String> {
+        let driver = self.string("driver")?;
+        if !DRIVERS.contains(&driver) {
+            return Err(self.err(format!("unknown driver \"{driver}\"")));
+        }
+        Ok(driver)
+    }
+
+    /// The fleet size the row ran against.
+    fn switches(&self) -> Result<u64, String> {
+        let v = self.count("switches")?;
+        if v == 0 {
+            return Err(self.err("\"switches\" must be at least 1"));
+        }
+        Ok(v)
+    }
+
+    /// The `speedup` field, finite and positive, held to `floor`.
+    fn speedup(&self, name: &str, what: &str, floor: Option<f64>) -> Result<(), String> {
+        let speedup = self.num("speedup")?;
+        if !speedup.is_finite() || speedup <= 0.0 {
+            return Err(format!("{name}: bad speedup {speedup}"));
+        }
+        match floor {
+            Some(floor) if speedup < floor => Err(format!(
+                "{name}: {what} {speedup:.1}x below the required {floor}x"
+            )),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// The object rows of the array `section` of the root object.
+fn rows<'a>(root: &'a BTreeMap<String, Value>, section: &str) -> Result<Vec<Row<'a>>, String> {
+    let rows = root
+        .get(section)
+        .ok_or_else(|| format!("missing key \"{section}\""))?
+        .as_arr()
+        .ok_or_else(|| format!("\"{section}\" is not an array"))?;
+    rows.iter()
+        .enumerate()
+        .map(|(i, row)| {
+            let at = format!("{section}[{i}]");
+            match row.as_obj() {
+                Some(obj) => Ok(Row { obj, at }),
+                None => Err(format!("{at} is not an object")),
+            }
+        })
+        .collect()
+}
+
+/// Fails unless every driver is in `seen`.
+fn require_both_drivers(seen: &[&str], what: &str) -> Result<(), String> {
+    match DRIVERS.iter().find(|d| !seen.contains(d)) {
+        Some(missing) => Err(format!(
+            "{what} required on both drivers; \"{missing}\" is missing"
+        )),
+        None => Ok(()),
+    }
+}
+
+fn note<'a>(seen: &mut Vec<&'a str>, driver: &'a str) {
+    if !seen.contains(&driver) {
+        seen.push(driver);
+    }
+}
+
+fn validate_latency(root: &BTreeMap<String, Value>) -> Result<usize, String> {
+    let rows = rows(root, "results")?;
+    for row in &rows {
+        row.string("experiment")?;
+        for key in [
+            "median_completion_ms",
+            "p95_completion_ms",
+            "confirms",
+            "runs",
+        ] {
+            row.num(key)?;
+        }
+    }
+    Ok(rows.len())
+}
+
+fn validate_throughput(root: &BTreeMap<String, Value>, floors: &Floors) -> Result<usize, String> {
+    let rows = rows(root, "throughput")?;
+    if rows.is_empty() {
         return Err("no throughput rows".into());
     }
-    let mut install_rows = 0usize;
-    let mut overhead_rows = 0usize;
-    let mut wire_rows = 0usize;
-    for (i, row) in throughput.iter().enumerate() {
-        let Json::Obj(row) = row else {
-            return Err(format!("throughput[{i}] is not an object"));
-        };
-        let Json::Str(name) = get(row, "experiment")? else {
-            return Err(format!("throughput[{i}].experiment is not a string"));
-        };
-        num(row, "ops")?;
-        num(row, "runs")?;
-        let elapsed = num(row, "median_elapsed_ms")?;
-        let ops_per_sec = num(row, "ops_per_sec")?;
+    let (mut install_rows, mut overhead_rows, mut wire_rows) = (0, 0, 0);
+    for row in &rows {
+        let name = row.string("experiment")?;
+        row.num("ops")?;
+        row.num("runs")?;
+        let elapsed = row.num("median_elapsed_ms")?;
+        let ops_per_sec = row.num("ops_per_sec")?;
         if !elapsed.is_finite() || !ops_per_sec.is_finite() || ops_per_sec <= 0.0 {
-            return Err(format!("throughput[{i}] has non-finite measurements"));
+            return Err(row.err("non-finite measurements"));
         }
         if name.starts_with("flow_mod_install/indexed") {
             install_rows += 1;
-            let speedup = num(row, "speedup")?;
-            if !speedup.is_finite() || speedup <= 0.0 {
-                return Err(format!("{name}: bad speedup {speedup}"));
-            }
-            if let Some(floor) = min_speedup {
-                if speedup < floor {
-                    return Err(format!(
-                        "{name}: speedup {speedup:.1}x below the required {floor}x"
-                    ));
-                }
-            }
+            row.speedup(name, "speedup", floors.min_speedup)?;
         }
-        // Schema 5: telemetry-overhead rows carry the measured slowdown of
-        // the instrumented hot path and must stay under the cap.  Older
-        // schemas predate the field.
         if name.starts_with("telemetry_overhead/") {
-            if schema < 5 {
-                return Err(format!("{name}: telemetry_overhead rows require schema 5"));
-            }
             overhead_rows += 1;
-            let overhead = num(row, "overhead_pct")?;
+            let overhead = row.num("overhead_pct")?;
             if !overhead.is_finite() {
                 return Err(format!("{name}: bad overhead_pct {overhead}"));
             }
-            if overhead >= max_overhead {
+            if overhead >= floors.max_overhead {
                 return Err(format!(
-                    "{name}: telemetry overhead {overhead:.2}% is at or above the \
-                     allowed {max_overhead}%"
+                    "{name}: telemetry overhead {overhead:.2}% is at or above the allowed {}%",
+                    floors.max_overhead
                 ));
             }
-        } else if row.contains_key("overhead_pct") {
+        } else if row.obj.contains_key("overhead_pct") {
             return Err(format!("{name}: unexpected overhead_pct field"));
         }
-        // Schema 8: end-to-end wire throughput through a real TCP proxy,
-        // with the pre-shard thread-per-connection proxy as its in-run
-        // baseline — `speedup` is the sharding win and must clear the floor.
         if name.starts_with("wire_e2e/") {
-            if schema < 8 {
-                return Err(format!("{name}: wire_e2e rows require schema 8"));
-            }
             wire_rows += 1;
-            let speedup = num(row, "speedup")?;
-            if !speedup.is_finite() || speedup <= 0.0 {
-                return Err(format!("{name}: bad speedup {speedup}"));
-            }
-            if let Some(floor) = min_wire_speedup {
-                if speedup < floor {
-                    return Err(format!(
-                        "{name}: sharding speedup {speedup:.1}x below the required {floor}x"
-                    ));
-                }
-            }
+            row.speedup(name, "sharding speedup", floors.min_wire_speedup)?;
         }
     }
     if install_rows == 0 {
         return Err("no flow_mod_install/indexed_* throughput row".into());
     }
-    if schema >= 5 && overhead_rows == 0 {
-        return Err("schema 5 requires a telemetry_overhead/* throughput row".into());
+    if overhead_rows == 0 {
+        return Err("no telemetry_overhead/* throughput row".into());
     }
-    if schema >= 8 && wire_rows == 0 {
-        return Err("schema 8 requires a wire_e2e/* throughput row".into());
+    if wire_rows == 0 {
+        return Err("no wire_e2e/* throughput row".into());
     }
-    if min_wire_speedup.is_some() && schema < 8 {
-        return Err("a wire-speedup floor needs schema 8 wire_e2e rows".into());
+    Ok(rows.len())
+}
+
+fn validate_matrix(root: &BTreeMap<String, Value>, min_switches: u64) -> Result<usize, String> {
+    let rows = rows(root, "scenario_matrix")?;
+    let (mut restart, mut resync, mut scale) = (Vec::new(), Vec::new(), Vec::new());
+    for row in &rows {
+        let driver = row.driver()?;
+        let fault = row.string("fault")?;
+        let technique = row.string("technique")?;
+        row.string("experiment")?;
+        let switches = row.switches()?;
+        let planned = row.count("planned")?;
+        let confirmed = row.count("confirmed")?;
+        let false_acks = row.count("false_acks")?;
+        let missed_acks = row.count("missed_acks")?;
+        let false_rate = row.rate("false_ack_rate")?;
+        let missed_rate = row.rate("missed_ack_rate")?;
+        if confirmed > planned || false_acks > planned || missed_acks > planned {
+            return Err(row.err(format!("counts exceed the plan size {planned}")));
+        }
+        if confirmed + missed_acks != planned {
+            return Err(row.err(format!(
+                "confirmed ({confirmed}) + missed ({missed_acks}) != planned ({planned})"
+            )));
+        }
+        if false_acks > confirmed {
+            return Err(row.err(format!(
+                "false_acks ({false_acks}) exceed confirmed ({confirmed})"
+            )));
+        }
+        let completion_is_null = match row.get("completion_ms")? {
+            Value::Null => true,
+            v if v.as_f64().is_some_and(|v| v.is_finite() && v >= 0.0) => false,
+            other => return Err(row.err(format!("bad completion_ms {other:?}"))),
+        };
+        let applicable = row.boolean("applicable")?;
+        if !applicable
+            && (planned != 0 || false_rate != 0.0 || missed_rate != 0.0 || !completion_is_null)
+        {
+            return Err(row.err(format!(
+                "not-applicable cell carries measurements (planned {planned}, rates \
+                 {false_rate}/{missed_rate}, completion null: {completion_is_null})"
+            )));
+        }
+        if applicable && fault == "restart" {
+            note(&mut restart, driver);
+        }
+        if row.obj.keys().any(|k| k.starts_with("resync_")) {
+            if fault != "restart_resync" {
+                return Err(row.err("resync fields are only valid on restart_resync rows"));
+            }
+            if !applicable {
+                return Err(row.err("not-applicable cell carries resync fields"));
+            }
+            let converged = row.boolean("resync_converged")?;
+            let rounds = row.count("resync_rounds")?;
+            let final_diff = row.count("resync_final_diff")?;
+            row.count("resync_delta_mods")?;
+            let table_matches = row.boolean("resync_table_matches")?;
+            if !converged || rounds == 0 || final_diff != 0 || !table_matches {
+                return Err(row.err(format!(
+                    "resync failed to restore the table (converged {converged}, rounds \
+                     {rounds}, final_diff {final_diff}, table_matches {table_matches})"
+                )));
+            }
+            note(&mut resync, driver);
+        } else if fault == "restart_resync" && applicable {
+            return Err(row.err("applicable restart_resync row is missing its resync verdict"));
+        }
+        if applicable
+            && technique.starts_with("rum-")
+            && false_acks == 0
+            && switches >= min_switches
+        {
+            note(&mut scale, driver);
+        }
     }
-    // Schema 3 adds the scenario-matrix section; schema 2 predates it (and
-    // is rejected if it smuggles one in anyway).
-    let matrix_rows = if schema >= 3 {
-        validate_matrix(root, schema, min_matrix_switches)?
-    } else {
-        if min_matrix_switches > 0 {
-            return Err(format!(
-                "a {min_matrix_switches}-switch floor needs schema 8 matrix rows"
-            ));
+    require_both_drivers(&restart, "applicable restart rows are")?;
+    require_both_drivers(&resync, "converged restart_resync rows are")?;
+    if min_switches > 0 {
+        require_both_drivers(
+            &scale,
+            &format!("an applicable zero-false-ack probing row with switches >= {min_switches} is"),
+        )?;
+    }
+    Ok(rows.len())
+}
+
+fn validate_soak(
+    root: &BTreeMap<String, Value>,
+    min_sessions: u64,
+    min_switches: u64,
+) -> Result<usize, String> {
+    let rows = rows(root, "session_soak")?;
+    let mut drivers = Vec::new();
+    // The largest fleet a tcp soak ran against.
+    let mut tcp_scale = 0;
+    for row in &rows {
+        let driver = row.driver()?;
+        row.string("fault")?;
+        row.string("experiment")?;
+        let switches = row.switches()?;
+        let sessions = row.count("sessions")?;
+        let completed = row.count("completed")?;
+        let aborted = row.count("aborted")?;
+        let planned = row.count("planned_mods")?;
+        let confirmed = row.count("confirmed_mods")?;
+        let false_acks = row.count("false_acks")?;
+        let missed_acks = row.count("missed_acks")?;
+        let stray_acks = row.count("stray_acks")?;
+        if sessions < min_sessions {
+            return Err(row.err(format!(
+                "only {sessions} concurrent sessions, required >= {min_sessions}"
+            )));
         }
-        if root.contains_key("scenario_matrix") {
-            return Err("schema 2 must not carry a scenario_matrix section".into());
+        if completed + aborted > sessions || confirmed > planned {
+            return Err(row.err("counts exceed the population"));
         }
-        0
-    };
-    // Schema 6 adds the session_soak section; older schemas predate it.
-    let soak_rows = if schema >= 6 {
-        validate_soak(root, min_soak_sessions, schema, min_matrix_switches)?
-    } else {
-        if root.contains_key("session_soak") {
-            return Err(format!(
-                "schema {schema} must not carry a session_soak section"
-            ));
+        if confirmed + missed_acks != planned {
+            return Err(row.err(format!(
+                "confirmed ({confirmed}) + missed ({missed_acks}) != planned ({planned})"
+            )));
         }
-        0
-    };
-    Ok((results.len(), throughput.len(), matrix_rows, soak_rows))
+        if false_acks > 0 {
+            return Err(row.err(format!("{false_acks} false acks (must be 0)")));
+        }
+        if completed != sessions || missed_acks > 0 {
+            return Err(row.err(format!(
+                "incomplete soak ({completed}/{sessions} sessions, {missed_acks} missed acks)"
+            )));
+        }
+        if stray_acks > 0 {
+            return Err(row.err(format!("{stray_acks} stray acks (must be 0)")));
+        }
+        let p50 = row.num("p50_confirm_ms")?;
+        let p99 = row.num("p99_confirm_ms")?;
+        let p999 = row.num("p999_confirm_ms")?;
+        let wall = row.num("wall_ms")?;
+        for (key, v) in [("p50", p50), ("p99", p99), ("p99.9", p999), ("wall", wall)] {
+            if !v.is_finite() || v < 0.0 {
+                return Err(row.err(format!("non-finite {key} {v}")));
+            }
+        }
+        if !(p50 <= p99 && p99 <= p999) {
+            return Err(row.err(format!(
+                "percentiles not monotone (p50 {p50}, p99 {p99}, p99.9 {p999})"
+            )));
+        }
+        note(&mut drivers, driver);
+        if driver == "tcp" {
+            tcp_scale = tcp_scale.max(switches);
+        }
+    }
+    require_both_drivers(&drivers, "session_soak rows are")?;
+    if min_switches > 0 && tcp_scale < min_switches {
+        return Err(format!(
+            "no tcp session_soak row with switches >= {min_switches} (largest: {tcp_scale})"
+        ));
+    }
+    Ok(rows.len())
+}
+
+/// Row counts per section: latency, throughput, scenario matrix, soak.
+type Counts = (usize, usize, usize, usize);
+
+fn validate(doc: &Value, floors: &Floors) -> Result<Counts, String> {
+    let root = doc.as_obj().ok_or("document root is not an object")?;
+    match root.get("schema") {
+        Some(v) if v.as_f64() == Some(SCHEMA) => {}
+        other => return Err(format!("schema must be {SCHEMA}, got {other:?}")),
+    }
+    Ok((
+        validate_latency(root)?,
+        validate_throughput(root, floors)?,
+        validate_matrix(root, floors.min_matrix_switches)?,
+        validate_soak(root, floors.min_soak_sessions, floors.min_matrix_switches)?,
+    ))
 }
 
 fn main() -> ExitCode {
@@ -768,12 +472,13 @@ fn main() -> ExitCode {
         .get(1)
         .map(String::as_str)
         .unwrap_or("BENCH_results.json");
-    let min_speedup: Option<f64> = args.get(2).and_then(|s| s.parse().ok());
-    let max_overhead: f64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(3.0);
-    let min_soak_sessions: u64 = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(1);
-    let min_wire_speedup: Option<f64> = args.get(5).and_then(|s| s.parse().ok());
-    let min_matrix_switches: u64 = args.get(6).and_then(|s| s.parse().ok()).unwrap_or(0);
-
+    let floors = match floors(&args) {
+        Ok(f) => f,
+        Err(e) => {
+            eprintln!("validate_results: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
@@ -781,21 +486,14 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let doc = match Parser::new(&text).document() {
+    let doc = match json::parse(&text) {
         Ok(d) => d,
         Err(e) => {
             eprintln!("validate_results: {path} is not valid JSON: {e}");
             return ExitCode::FAILURE;
         }
     };
-    match validate(
-        &doc,
-        min_speedup,
-        max_overhead,
-        min_soak_sessions,
-        min_wire_speedup,
-        min_matrix_switches,
-    ) {
+    match validate(&doc, &floors) {
         Ok((latency, throughput, matrix, soak)) => {
             println!(
                 "validate_results: {path} OK ({latency} latency rows, {throughput} throughput rows, {matrix} scenario-matrix rows, {soak} session-soak rows)"
@@ -812,660 +510,484 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rum_bench::report::{results_json, MatrixRecord};
+    use rum_bench::scenario_matrix::ResyncVerdict;
+    use rum_bench::{ExperimentRecord, SessionSoakRecord, ThroughputRecord};
 
-    fn doc(text: &str) -> Json {
-        Parser::new(text).document().expect("valid JSON")
+    // Row positions in the fixture's sections.
+    const INSTALL: usize = 0;
+    const OVERHEAD: usize = 2;
+    const WIRE: usize = 3;
+    const EARLY_SIMNET: usize = 0;
+    const RESTART_SIMNET: usize = 1;
+    const RESTART_TCP: usize = 2;
+    const NOT_APPLICABLE: usize = 3;
+    const RESYNC_SIMNET: usize = 4;
+    const RESYNC_TCP: usize = 5;
+    const SCALE_SIMNET: usize = 6;
+    const SCALE_TCP: usize = 7;
+    const SOAK_SIMNET: usize = 0;
+    const SOAK_SCALE_TCP: usize = 2;
+
+    fn cell(driver: &str, fault: &str, technique: &str, switches: u64) -> MatrixRecord {
+        MatrixRecord {
+            driver: driver.into(),
+            fault: fault.into(),
+            technique: technique.into(),
+            switches,
+            planned: 8,
+            confirmed: 8,
+            false_acks: 0,
+            missed_acks: 0,
+            false_ack_rate: 0.0,
+            missed_ack_rate: 0.0,
+            completion_ms: Some(812.5),
+            applicable: true,
+            resync: None,
+        }
     }
 
-    const SCHEMA2: &str = r#"{
-      "schema": 2,
-      "results": [{"experiment": "e", "median_completion_ms": 1.0,
-                   "p95_completion_ms": 2.0, "confirms": 3, "runs": 4}],
-      "throughput": [{"experiment": "flow_mod_install/indexed_10", "ops": 10,
-                      "median_elapsed_ms": 1.0, "ops_per_sec": 10000.0,
-                      "runs": 1, "baseline_ops_per_sec": 100.0, "speedup": 100.0}]
-    }"#;
-
-    fn schema3(matrix_row: &str) -> String {
-        SCHEMA2.replace("\"schema\": 2", "\"schema\": 3").replace(
-            "}]\n    }",
-            &format!("}}],\n      \"scenario_matrix\": [{matrix_row}]\n    }}"),
-        )
+    fn soak(driver: &str, switches: u64) -> SessionSoakRecord {
+        SessionSoakRecord {
+            driver: driver.into(),
+            fault: "early_reply".into(),
+            switches,
+            sessions: 200,
+            completed: 200,
+            aborted: 0,
+            planned_mods: 600,
+            confirmed_mods: 600,
+            false_acks: 0,
+            missed_acks: 0,
+            stray_acks: 0,
+            p50_confirm_ms: 40.0,
+            p99_confirm_ms: 180.0,
+            p999_confirm_ms: 523.0,
+            wall_ms: 2500.0,
+        }
     }
 
-    const GOOD_ROW: &str = r#"{"experiment": "scenario_matrix/simnet/early_reply/barrier-only",
-        "driver": "simnet", "fault": "early_reply", "technique": "barrier-only",
-        "planned": 8, "confirmed": 8, "false_acks": 8, "missed_acks": 0,
-        "false_ack_rate": 1.0, "missed_ack_rate": 0.0, "completion_ms": 812.5}"#;
+    /// The one schema-8 fixture, rendered by the harness's own writer and
+    /// parsed back: it passes every gate, including all floors of
+    /// [`strict`].
+    fn fixture() -> Value {
+        let latency = [ExperimentRecord::from_runs(
+            "end_to_end/general",
+            &[1.0, 2.0],
+            3,
+        )];
+        let throughput = [
+            ThroughputRecord::from_runs("flow_mod_install/indexed_10", 10, &[1.0])
+                .with_baseline(100.0),
+            ThroughputRecord::from_runs("flow_mod_install/linear_10", 10, &[100.0]),
+            ThroughputRecord::from_runs("telemetry_overhead/indexed_10", 10, &[1.02])
+                .with_overhead(1.2),
+            ThroughputRecord::from_runs("wire_e2e/flow_mods_1000sw", 128_000, &[120.0])
+                .with_baseline(150_000.0),
+        ];
+        let resync = ResyncVerdict {
+            converged: true,
+            rounds: 2,
+            final_diff: 0,
+            delta_mods: 4,
+            table_matches: true,
+        };
+        let matrix = [
+            MatrixRecord {
+                false_acks: 8,
+                false_ack_rate: 1.0,
+                ..cell("simnet", "early_reply", "barrier-only", 3)
+            },
+            cell("simnet", "restart", "rum-general", 3),
+            cell("tcp", "restart", "rum-general", 3),
+            MatrixRecord {
+                planned: 0,
+                confirmed: 0,
+                completion_ms: None,
+                applicable: false,
+                ..cell("simnet", "early_reply_reordering", "rum-sequential", 3)
+            },
+            MatrixRecord {
+                resync: Some(resync),
+                ..cell("simnet", "restart_resync", "rum-general", 3)
+            },
+            MatrixRecord {
+                resync: Some(resync),
+                ..cell("tcp", "restart_resync", "rum-general", 3)
+            },
+            cell("simnet", "early_reply", "rum-general", 1000),
+            cell("tcp", "early_reply", "rum-general", 1000),
+        ];
+        let soak = [soak("simnet", 3), soak("tcp", 3), soak("tcp", 1000)];
+        json::parse(&results_json(&latency, &throughput, &matrix, &soak)).expect("valid JSON")
+    }
+
+    /// Every floor armed at a level the fixture meets.
+    fn strict() -> Floors {
+        Floors {
+            min_speedup: Some(50.0),
+            max_overhead: 3.0,
+            min_soak_sessions: 200,
+            min_wire_speedup: Some(5.0),
+            min_matrix_switches: 1000,
+        }
+    }
+
+    fn section<'a>(doc: &'a mut Value, name: &str) -> &'a mut Vec<Value> {
+        let Value::Obj(root) = doc else {
+            panic!("root")
+        };
+        let Some(Value::Arr(rows)) = root.get_mut(name) else {
+            panic!("{name}")
+        };
+        rows
+    }
+
+    fn row<'a>(doc: &'a mut Value, name: &str, i: usize) -> &'a mut BTreeMap<String, Value> {
+        match &mut section(doc, name)[i] {
+            Value::Obj(row) => row,
+            _ => panic!("{name}[{i}]"),
+        }
+    }
+
+    /// The fixture with `key` of row `i` of `name` set to `value`.
+    fn with(name: &str, i: usize, key: &str, value: Value) -> Value {
+        let mut doc = fixture();
+        row(&mut doc, name, i).insert(key.into(), value);
+        doc
+    }
+
+    /// The fixture without row `i` of `name`.
+    fn without(name: &str, i: usize) -> Value {
+        let mut doc = fixture();
+        section(&mut doc, name).remove(i);
+        doc
+    }
+
+    /// Asserts that `doc` fails under `floors` with an error containing
+    /// `needle`.
+    fn rejects(doc: &Value, floors: &Floors, needle: &str) {
+        match validate(doc, floors) {
+            Ok(counts) => panic!("accepted {counts:?}, expected \"{needle}\""),
+            Err(e) => assert!(e.contains(needle), "\"{e}\" lacks \"{needle}\""),
+        }
+    }
+
+    const M: &str = "scenario_matrix";
+    const S: &str = "session_soak";
+    const T: &str = "throughput";
 
     #[test]
-    fn schema_2_still_accepted() {
+    fn the_fixture_passes_every_gate() {
+        assert_eq!(validate(&fixture(), &Floors::default()), Ok((1, 4, 8, 3)));
+        assert_eq!(validate(&fixture(), &strict()), Ok((1, 4, 8, 3)));
+    }
+
+    #[test]
+    fn only_schema_8_is_accepted() {
+        for schema in [7, 9, 2] {
+            let mut doc = fixture();
+            let Value::Obj(root) = &mut doc else { panic!() };
+            root.insert("schema".into(), Value::Int(schema));
+            rejects(&doc, &Floors::default(), "schema must be 8");
+        }
+    }
+
+    #[test]
+    fn malformed_gate_arguments_fail_instead_of_disabling_the_gate() {
+        let args = |tail: &[&str]| -> Vec<String> {
+            ["validate_results", "BENCH_results.json"]
+                .iter()
+                .chain(tail)
+                .map(|s| s.to_string())
+                .collect()
+        };
+        assert_eq!(floors(&args(&[])), Ok(Floors::default()));
         assert_eq!(
-            validate(&doc(SCHEMA2), None, 3.0, 1, None, 0),
-            Ok((1, 1, 0, 0))
+            floors(&args(&["50", "3", "200", "5", "1000"])),
+            Ok(strict())
+        );
+        let err = floors(&args(&["10", "3", "200", "5x", "1000"])).unwrap_err();
+        assert!(err.contains("argument 5 (min_wire_speedup)"), "{err}");
+        for (i, name) in ["min_speedup", "max_overhead", "min_soak_sessions"]
+            .iter()
+            .enumerate()
+        {
+            let mut tail = vec!["10", "3", "200"];
+            tail[i] = "ten";
+            let err = floors(&args(&tail)).unwrap_err();
+            assert!(err.contains(name), "{err}");
+        }
+        // A count floor rejects a fraction rather than truncating it.
+        let err = floors(&args(&["10", "3", "200", "5", "1e3"])).unwrap_err();
+        assert!(err.contains("min_matrix_switches"), "{err}");
+    }
+
+    #[test]
+    fn rates_must_be_finite_and_in_range() {
+        let f = Floors::default();
+        rejects(
+            &with(M, EARLY_SIMNET, "false_ack_rate", Value::Null),
+            &f,
+            "false_ack_rate",
+        );
+        rejects(
+            &with(M, EARLY_SIMNET, "false_ack_rate", Value::Float(-0.2)),
+            &f,
+            "false_ack_rate",
+        );
+        rejects(
+            &with(M, EARLY_SIMNET, "missed_ack_rate", Value::Float(1.5)),
+            &f,
+            "missed_ack_rate",
+        );
+        rejects(
+            &with(T, WIRE, "ops_per_sec", Value::Null),
+            &f,
+            "non-finite measurements",
+        );
+        rejects(
+            &with(T, INSTALL, "median_elapsed_ms", Value::Null),
+            &f,
+            "non-finite measurements",
         );
     }
 
     #[test]
-    fn schema_3_with_matrix_accepted() {
-        assert_eq!(
-            validate(&doc(&schema3(GOOD_ROW)), None, 3.0, 1, None, 0),
-            Ok((1, 1, 1, 0))
+    fn counts_must_be_consistent() {
+        let f = Floors::default();
+        rejects(
+            &with(M, EARLY_SIMNET, "false_acks", Value::Int(9)),
+            &f,
+            "exceed the plan size",
         );
-        // A stalled cell: null completion, missed acks.
-        let stalled = GOOD_ROW
-            .replace("\"confirmed\": 8", "\"confirmed\": 5")
-            .replace("\"false_acks\": 8", "\"false_acks\": 0")
-            .replace("\"false_ack_rate\": 1.0", "\"false_ack_rate\": 0.0")
-            .replace("\"missed_acks\": 0", "\"missed_acks\": 3")
-            .replace("\"missed_ack_rate\": 0.0", "\"missed_ack_rate\": 0.375")
-            .replace("\"completion_ms\": 812.5", "\"completion_ms\": null");
-        assert_eq!(
-            validate(&doc(&schema3(&stalled)), None, 3.0, 1, None, 0),
-            Ok((1, 1, 1, 0))
+        rejects(
+            &with(M, EARLY_SIMNET, "confirmed", Value::Int(7)),
+            &f,
+            "!= planned",
         );
-    }
-
-    #[test]
-    fn nan_and_out_of_range_rates_are_rejected() {
-        // NaN serialises as null; num() maps it back to NaN -> rejected.
-        let nan = GOOD_ROW.replace("\"false_ack_rate\": 1.0", "\"false_ack_rate\": null");
-        assert!(validate(&doc(&schema3(&nan)), None, 3.0, 1, None, 0)
-            .unwrap_err()
-            .contains("false_ack_rate"));
-        let negative = GOOD_ROW.replace("\"false_ack_rate\": 1.0", "\"false_ack_rate\": -0.2");
-        assert!(validate(&doc(&schema3(&negative)), None, 3.0, 1, None, 0)
-            .unwrap_err()
-            .contains("false_ack_rate"));
-        let above_one = GOOD_ROW.replace("\"missed_ack_rate\": 0.0", "\"missed_ack_rate\": 1.5");
-        assert!(validate(&doc(&schema3(&above_one)), None, 3.0, 1, None, 0)
-            .unwrap_err()
-            .contains("missed_ack_rate"));
-    }
-
-    #[test]
-    fn inconsistent_counts_are_rejected() {
-        let too_many = GOOD_ROW.replace("\"false_acks\": 8", "\"false_acks\": 9");
-        assert!(validate(&doc(&schema3(&too_many)), None, 3.0, 1, None, 0)
-            .unwrap_err()
-            .contains("exceed the plan size"));
-        let mismatch = GOOD_ROW.replace("\"confirmed\": 8", "\"confirmed\": 7");
-        assert!(validate(&doc(&schema3(&mismatch)), None, 3.0, 1, None, 0)
-            .unwrap_err()
-            .contains("!= planned"));
-        // More false acks than confirmations is nonsensical: a false ack is
-        // a (mis)issued confirmation.
-        let phantom = GOOD_ROW
-            .replace("\"confirmed\": 8", "\"confirmed\": 5")
-            .replace("\"missed_acks\": 0", "\"missed_acks\": 3");
-        assert!(validate(&doc(&schema3(&phantom)), None, 3.0, 1, None, 0)
-            .unwrap_err()
-            .contains("exceed confirmed"));
-    }
-
-    /// Builds a schema-4 document with the given matrix rows (joined by
-    /// commas by the caller).
-    fn schema4(matrix_rows: &str) -> String {
-        schema3(matrix_rows).replace("\"schema\": 3", "\"schema\": 4")
-    }
-
-    fn with_applicable(row: &str, applicable: bool) -> String {
-        row.replace(
-            "\"completion_ms\":",
-            &format!("\"applicable\": {applicable}, \"completion_ms\":"),
-        )
-    }
-
-    fn restart_row(driver: &str) -> String {
-        with_applicable(
-            &GOOD_ROW.replace("early_reply", "restart").replace(
-                "\"driver\": \"simnet\"",
-                &format!("\"driver\": \"{driver}\""),
-            ),
-            true,
-        )
-    }
-
-    const NA_ROW: &str = r#"{"experiment": "scenario_matrix/simnet/early_reply_reordering/rum-sequential",
-        "driver": "simnet", "fault": "early_reply_reordering", "technique": "rum-sequential",
-        "planned": 0, "confirmed": 0, "false_acks": 0, "missed_acks": 0,
-        "false_ack_rate": 0.0, "missed_ack_rate": 0.0, "applicable": false, "completion_ms": null}"#;
-
-    #[test]
-    fn schema_4_with_restart_rows_on_both_drivers_accepted() {
-        let rows = format!(
-            "{}, {}, {}, {}",
-            with_applicable(GOOD_ROW, true),
-            restart_row("simnet"),
-            restart_row("tcp"),
-            NA_ROW
+        rejects(
+            &with(M, EARLY_SIMNET, "planned", Value::Float(7.5)),
+            &f,
+            "non-negative count",
         );
-        assert_eq!(
-            validate(&doc(&schema4(&rows)), None, 3.0, 1, None, 0),
-            Ok((1, 1, 4, 0))
+        // A false ack is a confirmation: more of them than confirmations is
+        // nonsensical.
+        let mut phantom = with(M, EARLY_SIMNET, "confirmed", Value::Int(5));
+        row(&mut phantom, M, EARLY_SIMNET).insert("missed_acks".into(), Value::Int(3));
+        rejects(&phantom, &f, "exceed confirmed");
+        rejects(
+            &with(S, SOAK_SIMNET, "confirmed_mods", Value::Int(599)),
+            &f,
+            "!= planned",
+        );
+        rejects(
+            &with(S, SOAK_SIMNET, "aborted", Value::Int(1)),
+            &f,
+            "exceed the population",
         );
     }
 
     #[test]
-    fn schema_4_missing_a_restart_driver_is_rejected() {
-        let rows = format!(
-            "{}, {}",
-            with_applicable(GOOD_ROW, true),
-            restart_row("simnet")
+    fn not_applicable_cells_must_be_zero_placeholders() {
+        let f = Floors::default();
+        rejects(
+            &with(M, EARLY_SIMNET, "applicable", Value::Bool(false)),
+            &f,
+            "not-applicable",
         );
-        let err = validate(&doc(&schema4(&rows)), None, 3.0, 1, None, 0).unwrap_err();
-        assert!(err.contains("restart rows"), "{err}");
-        assert!(err.contains("tcp"), "{err}");
+        for (key, value) in [
+            ("false_ack_rate", Value::Float(0.9)),
+            ("missed_ack_rate", Value::Float(0.5)),
+            ("completion_ms", Value::Float(50.0)),
+        ] {
+            rejects(&with(M, NOT_APPLICABLE, key, value), &f, "not-applicable");
+        }
+        let mut unflagged = fixture();
+        row(&mut unflagged, M, NOT_APPLICABLE).remove("applicable");
+        rejects(&unflagged, &f, "applicable");
+    }
+
+    #[test]
+    fn restart_rows_are_required_on_both_drivers() {
+        let f = Floors::default();
+        rejects(
+            &without(M, RESTART_TCP),
+            &f,
+            "restart rows are required on both drivers; \"tcp\"",
+        );
+        rejects(&without(M, RESTART_SIMNET), &f, "\"simnet\" is missing");
         // A not-applicable restart row does not count as coverage.
-        let na_restart = NA_ROW
-            .replace("early_reply_reordering", "restart")
-            .replace("rum-sequential", "rum-general");
-        let rows = format!(
-            "{}, {}, {}",
-            with_applicable(GOOD_ROW, true),
-            restart_row("simnet"),
-            na_restart
-        );
-        let err = validate(&doc(&schema4(&rows)), None, 3.0, 1, None, 0).unwrap_err();
-        assert!(err.contains("restart rows"), "{err}");
+        let mut na = fixture();
+        let r = row(&mut na, M, RESTART_TCP);
+        r.insert("applicable".into(), Value::Bool(false));
+        for key in ["planned", "confirmed"] {
+            r.insert(key.into(), Value::Int(0));
+        }
+        r.insert("completion_ms".into(), Value::Null);
+        rejects(&na, &f, "restart rows");
     }
 
     #[test]
-    fn schema_4_rows_must_carry_the_applicable_flag() {
-        let rows = format!(
-            "{GOOD_ROW}, {}, {}",
-            restart_row("simnet"),
-            restart_row("tcp")
-        );
-        let err = validate(&doc(&schema4(&rows)), None, 3.0, 1, None, 0).unwrap_err();
-        assert!(err.contains("applicable"), "{err}");
-    }
-
-    #[test]
-    fn not_applicable_rows_must_be_zero_placeholders() {
-        let loaded = with_applicable(GOOD_ROW, false);
-        let rows = format!(
-            "{loaded}, {}, {}",
-            restart_row("simnet"),
-            restart_row("tcp")
-        );
-        let err = validate(&doc(&schema4(&rows)), None, 3.0, 1, None, 0).unwrap_err();
-        assert!(err.contains("not-applicable"), "{err}");
-        // Zero counts are not enough: a smuggled rate or completion time on
-        // a never-run cell is rejected too.
-        for tainted in [
-            NA_ROW.replace("\"false_ack_rate\": 0.0", "\"false_ack_rate\": 0.9"),
-            NA_ROW.replace("\"missed_ack_rate\": 0.0", "\"missed_ack_rate\": 0.5"),
-            NA_ROW.replace("\"completion_ms\": null", "\"completion_ms\": 50.0"),
+    fn resync_verdicts_must_show_a_restored_table_on_both_drivers() {
+        let f = Floors::default();
+        for (key, value) in [
+            ("resync_converged", Value::Bool(false)),
+            ("resync_final_diff", Value::Int(2)),
+            ("resync_table_matches", Value::Bool(false)),
+            ("resync_rounds", Value::Int(0)),
         ] {
-            let rows = format!(
-                "{tainted}, {}, {}",
-                restart_row("simnet"),
-                restart_row("tcp")
-            );
-            let err = validate(&doc(&schema4(&rows)), None, 3.0, 1, None, 0).unwrap_err();
-            assert!(err.contains("not-applicable"), "{err}");
+            rejects(&with(M, RESYNC_SIMNET, key, value), &f, "failed to restore");
         }
-    }
-
-    #[test]
-    fn schema_3_must_not_carry_applicable() {
-        let row = with_applicable(GOOD_ROW, true);
-        let err = validate(&doc(&schema3(&row)), None, 3.0, 1, None, 0).unwrap_err();
-        assert!(err.contains("requires schema 4"), "{err}");
-    }
-
-    /// A well-formed telemetry-overhead throughput row (schema 5).
-    const OVERHEAD_ROW: &str = r#"{"experiment": "telemetry_overhead/indexed_10", "ops": 10,
-        "median_elapsed_ms": 1.02, "ops_per_sec": 9800.0, "runs": 3, "overhead_pct": 1.2}"#;
-
-    /// Builds a schema-5 document: schema 4 with full restart coverage plus
-    /// the given telemetry-overhead throughput row.
-    fn schema5(overhead_row: &str) -> String {
-        let rows = format!(
-            "{}, {}, {}",
-            with_applicable(GOOD_ROW, true),
-            restart_row("simnet"),
-            restart_row("tcp")
+        rejects(
+            &without(M, RESYNC_TCP),
+            &f,
+            "restart_resync rows are required on both drivers",
         );
-        schema4(&rows)
-            .replace("\"schema\": 4", "\"schema\": 5")
-            .replace(
-                "\"speedup\": 100.0}]",
-                &format!("\"speedup\": 100.0}}, {overhead_row}]"),
-            )
-    }
-
-    #[test]
-    fn schema_5_with_overhead_row_accepted() {
-        assert_eq!(
-            validate(&doc(&schema5(OVERHEAD_ROW)), None, 3.0, 1, None, 0),
-            Ok((1, 2, 3, 0))
-        );
-        // Slightly-negative overhead is measurement noise, not an error.
-        let lucky = OVERHEAD_ROW.replace("\"overhead_pct\": 1.2", "\"overhead_pct\": -0.3");
-        assert_eq!(
-            validate(&doc(&schema5(&lucky)), None, 3.0, 1, None, 0),
-            Ok((1, 2, 3, 0))
+        let mut bare = fixture();
+        row(&mut bare, M, RESYNC_SIMNET).retain(|k, _| !k.starts_with("resync_"));
+        rejects(&bare, &f, "missing its resync verdict");
+        rejects(
+            &with(M, RESTART_SIMNET, "resync_converged", Value::Bool(true)),
+            &f,
+            "only valid on restart_resync",
         );
     }
 
     #[test]
-    fn schema_5_requires_an_overhead_row() {
-        let missing =
-            schema5(OVERHEAD_ROW).replace("telemetry_overhead/indexed_10", "codec/encode_10");
-        let err = validate(&doc(&missing), None, 3.0, 1, None, 0).unwrap_err();
-        assert!(err.contains("overhead_pct"), "{err}");
-        let dropped = schema4(&format!(
-            "{}, {}, {}",
-            with_applicable(GOOD_ROW, true),
-            restart_row("simnet"),
-            restart_row("tcp")
-        ))
-        .replace("\"schema\": 4", "\"schema\": 5");
-        let err = validate(&doc(&dropped), None, 3.0, 1, None, 0).unwrap_err();
-        assert!(err.contains("telemetry_overhead"), "{err}");
-    }
-
-    #[test]
-    fn overhead_at_or_above_the_cap_is_rejected() {
-        let slow = OVERHEAD_ROW.replace("\"overhead_pct\": 1.2", "\"overhead_pct\": 3.0");
-        let err = validate(&doc(&schema5(&slow)), None, 3.0, 1, None, 0).unwrap_err();
-        assert!(err.contains("at or above"), "{err}");
-        // A looser explicit cap admits the same row.
-        assert_eq!(
-            validate(&doc(&schema5(&slow)), None, 10.0, 1, None, 0),
-            Ok((1, 2, 3, 0))
+    fn soak_rows_must_be_clean_complete_and_monotone() {
+        let f = Floors::default();
+        rejects(
+            &with(S, SOAK_SIMNET, "false_acks", Value::Int(2)),
+            &f,
+            "false acks",
         );
-        // A null (NaN) overhead is rejected regardless of cap.
-        let nan = OVERHEAD_ROW.replace("\"overhead_pct\": 1.2", "\"overhead_pct\": null");
-        assert!(validate(&doc(&schema5(&nan)), None, 100.0, 1, None, 0)
-            .unwrap_err()
-            .contains("overhead_pct"));
-    }
-
-    #[test]
-    fn overhead_rows_require_schema_5() {
-        let smuggled = schema5(OVERHEAD_ROW).replace("\"schema\": 5", "\"schema\": 4");
-        let err = validate(&doc(&smuggled), None, 3.0, 1, None, 0).unwrap_err();
-        assert!(err.contains("require schema 5"), "{err}");
-    }
-
-    #[test]
-    fn overhead_pct_on_other_rows_is_rejected() {
-        let tainted = schema5(OVERHEAD_ROW).replace(
-            "\"speedup\": 100.0}",
-            "\"speedup\": 100.0, \"overhead_pct\": 0.5}",
+        rejects(
+            &with(S, SOAK_SIMNET, "stray_acks", Value::Int(1)),
+            &f,
+            "stray acks",
         );
-        let err = validate(&doc(&tainted), None, 3.0, 1, None, 0).unwrap_err();
-        assert!(err.contains("unexpected overhead_pct"), "{err}");
-    }
-
-    #[test]
-    fn schema_2_with_matrix_section_is_rejected() {
-        let sneaky = schema3(GOOD_ROW).replace("\"schema\": 3", "\"schema\": 2");
-        assert!(validate(&doc(&sneaky), None, 3.0, 1, None, 0)
-            .unwrap_err()
-            .contains("schema 2 must not carry"));
-    }
-
-    #[test]
-    fn missing_matrix_section_in_schema_3_is_rejected() {
-        let missing = SCHEMA2.replace("\"schema\": 2", "\"schema\": 3");
-        assert!(validate(&doc(&missing), None, 3.0, 1, None, 0)
-            .unwrap_err()
-            .contains("scenario_matrix"));
-    }
-
-    /// A clean simnet soak row (schema 6).
-    const SOAK_SIMNET_ROW: &str = r#"{"experiment": "session_soak/simnet/early_reply",
-        "driver": "simnet", "fault": "early_reply", "sessions": 200, "completed": 200,
-        "aborted": 0, "planned_mods": 600, "confirmed_mods": 600, "false_acks": 0,
-        "missed_acks": 0, "stray_acks": 0, "p50_confirm_ms": 40.0,
-        "p99_confirm_ms": 180.0, "p999_confirm_ms": 523.0, "wall_ms": 2500.0}"#;
-
-    fn soak_tcp_row() -> String {
-        SOAK_SIMNET_ROW
-            .replace("simnet", "tcp")
-            .replace("\"p999_confirm_ms\": 523.0", "\"p999_confirm_ms\": 910.0")
-    }
-
-    /// Builds a schema-6 document: schema 5 plus the given session-soak rows
-    /// (joined by commas by the caller).
-    fn schema6(soak_rows: &str) -> String {
-        schema5(OVERHEAD_ROW)
-            .replace("\"schema\": 5", "\"schema\": 6")
-            .replace(
-                "]\n    }",
-                &format!("],\n      \"session_soak\": [{soak_rows}]\n    }}"),
-            )
-    }
-
-    fn both_drivers() -> String {
-        format!("{SOAK_SIMNET_ROW}, {}", soak_tcp_row())
-    }
-
-    #[test]
-    fn schema_6_with_clean_soak_rows_accepted() {
-        assert_eq!(
-            validate(&doc(&schema6(&both_drivers())), None, 3.0, 1, None, 0),
-            Ok((1, 2, 3, 2))
+        let mut stalled = with(S, SOAK_SIMNET, "completed", Value::Int(199));
+        let r = row(&mut stalled, S, SOAK_SIMNET);
+        r.insert("confirmed_mods".into(), Value::Int(597));
+        r.insert("missed_acks".into(), Value::Int(3));
+        rejects(&stalled, &f, "incomplete soak");
+        rejects(
+            &with(S, SOAK_SIMNET, "p999_confirm_ms", Value::Null),
+            &f,
+            "p99.9",
         );
-        // A demanding session floor that the rows meet is fine too.
-        assert_eq!(
-            validate(&doc(&schema6(&both_drivers())), None, 3.0, 200, None, 0),
-            Ok((1, 2, 3, 2))
+        rejects(
+            &with(S, SOAK_SIMNET, "p999_confirm_ms", Value::Float(90.0)),
+            &f,
+            "not monotone",
+        );
+        rejects(&with(S, SOAK_SIMNET, "wall_ms", Value::Null), &f, "wall");
+        rejects(
+            &without(S, SOAK_SIMNET),
+            &f,
+            "session_soak rows are required on both drivers",
+        );
+        let floor = Floors {
+            min_soak_sessions: 500,
+            ..Floors::default()
+        };
+        rejects(&fixture(), &floor, "required >= 500");
+    }
+
+    #[test]
+    fn overhead_is_capped() {
+        let f = Floors::default();
+        let slow = with(T, OVERHEAD, "overhead_pct", Value::Float(3.0));
+        rejects(&slow, &f, "at or above");
+        let loose = Floors {
+            max_overhead: 10.0,
+            ..Floors::default()
+        };
+        assert!(validate(&slow, &loose).is_ok());
+        // Slightly negative overhead is measurement noise, not an error.
+        assert!(validate(&with(T, OVERHEAD, "overhead_pct", Value::Float(-0.3)), &f).is_ok());
+        rejects(
+            &with(T, OVERHEAD, "overhead_pct", Value::Null),
+            &loose,
+            "overhead_pct",
+        );
+        rejects(&without(T, OVERHEAD), &f, "no telemetry_overhead");
+        rejects(
+            &with(T, INSTALL, "overhead_pct", Value::Float(0.5)),
+            &f,
+            "unexpected overhead_pct",
         );
     }
 
     #[test]
-    fn soak_false_acks_are_rejected() {
-        let lying = both_drivers().replacen("\"false_acks\": 0", "\"false_acks\": 2", 1);
-        let err = validate(&doc(&schema6(&lying)), None, 3.0, 1, None, 0).unwrap_err();
-        assert!(err.contains("false acks"), "{err}");
-    }
-
-    #[test]
-    fn incomplete_soak_is_rejected() {
-        // A missed ack must show up as both a shortfall in confirmed_mods
-        // and a non-zero missed count; the gate rejects it.
-        let stalled = both_drivers()
-            .replacen("\"completed\": 200", "\"completed\": 199", 1)
-            .replacen("\"confirmed_mods\": 600", "\"confirmed_mods\": 597", 1)
-            .replacen("\"missed_acks\": 0", "\"missed_acks\": 3", 1);
-        let err = validate(&doc(&schema6(&stalled)), None, 3.0, 1, None, 0).unwrap_err();
-        assert!(err.contains("incomplete soak"), "{err}");
-        // Inconsistent books (confirmed + missed != planned) are caught
-        // before the verdict gates.
-        let fudged =
-            both_drivers().replacen("\"confirmed_mods\": 600", "\"confirmed_mods\": 599", 1);
-        let err = validate(&doc(&schema6(&fudged)), None, 3.0, 1, None, 0).unwrap_err();
-        assert!(err.contains("!= planned"), "{err}");
-    }
-
-    #[test]
-    fn soak_missing_a_driver_is_rejected() {
-        let err = validate(&doc(&schema6(SOAK_SIMNET_ROW)), None, 3.0, 1, None, 0).unwrap_err();
-        assert!(err.contains("both drivers"), "{err}");
-        assert!(err.contains("tcp"), "{err}");
-    }
-
-    #[test]
-    fn soak_tail_percentiles_must_be_finite_and_monotone() {
-        // NaN serialises as null; a soak whose p99.9 could not be measured
-        // has not demonstrated its tail.
-        let nan =
-            both_drivers().replacen("\"p999_confirm_ms\": 523.0", "\"p999_confirm_ms\": null", 1);
-        let err = validate(&doc(&schema6(&nan)), None, 3.0, 1, None, 0).unwrap_err();
-        assert!(err.contains("p99.9"), "{err}");
-        let inverted =
-            both_drivers().replacen("\"p999_confirm_ms\": 523.0", "\"p999_confirm_ms\": 90.0", 1);
-        let err = validate(&doc(&schema6(&inverted)), None, 3.0, 1, None, 0).unwrap_err();
-        assert!(err.contains("not monotone"), "{err}");
-    }
-
-    #[test]
-    fn soak_below_the_session_floor_is_rejected() {
-        let err = validate(&doc(&schema6(&both_drivers())), None, 3.0, 500, None, 0).unwrap_err();
-        assert!(err.contains("required >= 500"), "{err}");
-    }
-
-    #[test]
-    fn soak_section_requires_schema_6() {
-        let smuggled = schema6(&both_drivers()).replace("\"schema\": 6", "\"schema\": 5");
-        let err = validate(&doc(&smuggled), None, 3.0, 1, None, 0).unwrap_err();
-        assert!(err.contains("must not carry a session_soak"), "{err}");
-    }
-
-    #[test]
-    fn missing_soak_section_in_schema_6_is_rejected() {
-        let missing = schema5(OVERHEAD_ROW).replace("\"schema\": 5", "\"schema\": 6");
-        let err = validate(&doc(&missing), None, 3.0, 1, None, 0).unwrap_err();
-        assert!(err.contains("session_soak"), "{err}");
-    }
-
-    /// An applicable restart_resync row with a clean resync verdict
-    /// (schema 7).
-    fn resync_row(driver: &str) -> String {
-        restart_row(driver)
-            .replace("restart", "restart_resync")
-            .replace(
-                "\"completion_ms\": 812.5",
-                "\"completion_ms\": 812.5, \"resync_converged\": true, \"resync_rounds\": 2, \
-             \"resync_final_diff\": 0, \"resync_delta_mods\": 4, \"resync_table_matches\": true",
-            )
-    }
-
-    /// Builds a schema-7 document: schema 6 with the given extra matrix rows
-    /// appended to the scenario-matrix section.
-    fn schema7(resync_rows: &str) -> String {
-        schema6(&both_drivers())
-            .replace("\"schema\": 6", "\"schema\": 7")
-            .replace(
-                "],\n      \"session_soak\"",
-                &format!(", {resync_rows}],\n      \"session_soak\""),
-            )
-    }
-
-    #[test]
-    fn schema_7_with_converged_resync_rows_accepted() {
-        let rows = format!("{}, {}", resync_row("simnet"), resync_row("tcp"));
-        assert_eq!(
-            validate(&doc(&schema7(&rows)), None, 3.0, 1, None, 0),
-            Ok((1, 2, 5, 2))
+    fn install_speedup_has_a_floor() {
+        let floor = Floors {
+            min_speedup: Some(200.0),
+            ..Floors::default()
+        };
+        rejects(
+            &fixture(),
+            &floor,
+            "indexed_10: speedup 100.0x below the required 200x",
+        );
+        rejects(
+            &with(T, INSTALL, "speedup", Value::Null),
+            &Floors::default(),
+            "bad speedup",
+        );
+        rejects(
+            &without(T, INSTALL),
+            &Floors::default(),
+            "no flow_mod_install",
         );
     }
 
     #[test]
-    fn schema_7_missing_a_resync_driver_is_rejected() {
-        let err =
-            validate(&doc(&schema7(&resync_row("simnet"))), None, 3.0, 1, None, 0).unwrap_err();
-        assert!(err.contains("restart_resync rows"), "{err}");
-        assert!(err.contains("tcp"), "{err}");
-        // A schema-7 file with no resync rows at all fails the same gate.
-        let bare = schema6(&both_drivers()).replace("\"schema\": 6", "\"schema\": 7");
-        let err = validate(&doc(&bare), None, 3.0, 1, None, 0).unwrap_err();
-        assert!(err.contains("restart_resync rows"), "{err}");
-    }
-
-    #[test]
-    fn unconverged_resync_is_rejected() {
-        for (from, to) in [
-            ("\"resync_converged\": true", "\"resync_converged\": false"),
-            ("\"resync_final_diff\": 0", "\"resync_final_diff\": 2"),
-            (
-                "\"resync_table_matches\": true",
-                "\"resync_table_matches\": false",
-            ),
-            ("\"resync_rounds\": 2", "\"resync_rounds\": 0"),
-        ] {
-            let rows = format!(
-                "{}, {}",
-                resync_row("simnet").replace(from, to),
-                resync_row("tcp")
-            );
-            let err = validate(&doc(&schema7(&rows)), None, 3.0, 1, None, 0).unwrap_err();
-            assert!(err.contains("failed to restore"), "{from} -> {to}: {err}");
-        }
-    }
-
-    #[test]
-    fn schema_7_resync_row_without_verdict_is_rejected() {
-        // An applicable restart_resync row that dropped its verdict fields
-        // is a broken harness, not a passing gate.
-        let bare = restart_row("simnet").replace("restart", "restart_resync");
-        let rows = format!("{bare}, {}", resync_row("tcp"));
-        let err = validate(&doc(&schema7(&rows)), None, 3.0, 1, None, 0).unwrap_err();
-        assert!(err.contains("missing its resync verdict"), "{err}");
-    }
-
-    #[test]
-    fn resync_fields_require_schema_7_and_the_resync_fault() {
-        // Smuggled into a schema-6 file: rejected.
-        let rows = format!("{}, {}", resync_row("simnet"), resync_row("tcp"));
-        let smuggled = schema7(&rows).replace("\"schema\": 7", "\"schema\": 6");
-        let err = validate(&doc(&smuggled), None, 3.0, 1, None, 0).unwrap_err();
-        assert!(err.contains("require schema 7"), "{err}");
-        // Attached to a plain restart row: rejected.
-        let tainted = restart_row("simnet").replace(
-            "\"completion_ms\": 812.5",
-            "\"completion_ms\": 812.5, \"resync_converged\": true",
+    fn wire_speedup_has_a_floor() {
+        let floor = Floors {
+            min_wire_speedup: Some(10.0),
+            ..Floors::default()
+        };
+        rejects(
+            &fixture(),
+            &floor,
+            "sharding speedup 7.1x below the required 10x",
         );
-        let rows = format!("{tainted}, {}, {}", resync_row("simnet"), resync_row("tcp"));
-        let err = validate(&doc(&schema7(&rows)), None, 3.0, 1, None, 0).unwrap_err();
-        assert!(err.contains("only valid on restart_resync"), "{err}");
-    }
-
-    /// A well-formed end-to-end wire-throughput row (schema 8): sharded
-    /// proxy throughput with the legacy proxy as the in-run baseline.
-    const WIRE_ROW: &str = r#"{"experiment": "wire_e2e/flow_mods_64sw", "ops": 128000,
-        "median_elapsed_ms": 120.0, "ops_per_sec": 1066666.0, "runs": 1,
-        "baseline_ops_per_sec": 150000.0, "speedup": 7.1}"#;
-
-    /// Builds a schema-8 document: the full schema-7 document with
-    /// `switches` stamped onto every matrix and soak row, the wire row
-    /// appended to the throughput section, and the given scale rows (which
-    /// carry their own `switches` counts) appended to their sections.
-    fn schema8(scale_matrix_rows: &str, scale_soak_rows: &str) -> String {
-        let resync = format!("{}, {}", resync_row("simnet"), resync_row("tcp"));
-        let mut text = schema7(&resync)
-            .replace("\"schema\": 7", "\"schema\": 8")
-            .replace("\"planned\":", "\"switches\": 3, \"planned\":")
-            .replace("\"sessions\":", "\"switches\": 3, \"sessions\":")
-            .replace(
-                "\"overhead_pct\": 1.2}",
-                &format!("\"overhead_pct\": 1.2}}, {WIRE_ROW}"),
-            );
-        if !scale_matrix_rows.is_empty() {
-            text = text.replace(
-                "],\n      \"session_soak\"",
-                &format!(", {scale_matrix_rows}],\n      \"session_soak\""),
-            );
-        }
-        if !scale_soak_rows.is_empty() {
-            text = text.replace("]\n    }", &format!(", {scale_soak_rows}]\n    }}"));
-        }
-        text
-    }
-
-    /// An applicable probing matrix row at 1,000 switches with a clean
-    /// verdict — what the scale gate demands on each driver.
-    fn scale_row(driver: &str) -> String {
-        with_applicable(GOOD_ROW, true)
-            .replace(
-                "\"driver\": \"simnet\"",
-                &format!("\"driver\": \"{driver}\""),
-            )
-            .replace("barrier-only", "rum-general")
-            .replace("\"false_acks\": 8", "\"false_acks\": 0")
-            .replace("\"false_ack_rate\": 1.0", "\"false_ack_rate\": 0.0")
-            .replace("\"planned\":", "\"switches\": 1000, \"planned\":")
-    }
-
-    /// A clean TCP soak row at 1,000 switches.
-    fn scale_soak_row() -> String {
-        soak_tcp_row().replace("\"sessions\":", "\"switches\": 1000, \"sessions\":")
-    }
-
-    fn full_schema8() -> String {
-        schema8(
-            &format!("{}, {}", scale_row("simnet"), scale_row("tcp")),
-            &scale_soak_row(),
-        )
-    }
-
-    #[test]
-    fn schema_8_with_scale_and_wire_rows_accepted() {
-        // No floors: the shape alone validates.
-        assert_eq!(
-            validate(&doc(&full_schema8()), None, 3.0, 1, None, 0),
-            Ok((1, 3, 7, 3))
-        );
-        // With every scale gate armed: wire speedup floor, 1,000-switch
-        // matrix + soak floors.
-        assert_eq!(
-            validate(&doc(&full_schema8()), None, 3.0, 1, Some(5.0), 1000),
-            Ok((1, 3, 7, 3))
-        );
-    }
-
-    #[test]
-    fn schema_8_rows_must_carry_switches() {
-        // A matrix row that lost its fleet size.
-        let missing = full_schema8().replacen("\"switches\": 3, \"planned\":", "\"planned\":", 1);
-        let err = validate(&doc(&missing), None, 3.0, 1, None, 0).unwrap_err();
-        assert!(err.contains("switches"), "{err}");
-        // A soak row that lost its fleet size.
-        let missing = full_schema8().replacen("\"switches\": 3, \"sessions\":", "\"sessions\":", 1);
-        let err = validate(&doc(&missing), None, 3.0, 1, None, 0).unwrap_err();
-        assert!(err.contains("switches"), "{err}");
-    }
-
-    #[test]
-    fn switches_fields_require_schema_8() {
-        // Drop the wire row too, so the first schema-8 artefact the
-        // validator trips over is the smuggled switches field itself.
-        let smuggled = full_schema8()
-            .replace("\"schema\": 8", "\"schema\": 7")
-            .replace(&format!(", {WIRE_ROW}"), "");
-        let err = validate(&doc(&smuggled), None, 3.0, 1, None, 0).unwrap_err();
-        assert!(err.contains("\"switches\" requires schema 8"), "{err}");
-    }
-
-    #[test]
-    fn schema_8_requires_a_wire_row() {
-        let missing = full_schema8().replace("wire_e2e/flow_mods_64sw", "codec/encode_64");
-        let err = validate(&doc(&missing), None, 3.0, 1, None, 0).unwrap_err();
-        assert!(err.contains("wire_e2e"), "{err}");
-        // And wire rows cannot be smuggled into older schemas.
-        let old = schema7(&format!("{}, {}", resync_row("simnet"), resync_row("tcp"))).replace(
-            "\"overhead_pct\": 1.2}",
-            &format!("\"overhead_pct\": 1.2}}, {WIRE_ROW}"),
-        );
-        let err = validate(&doc(&old), None, 3.0, 1, None, 0).unwrap_err();
-        assert!(err.contains("require schema 8"), "{err}");
-    }
-
-    #[test]
-    fn wire_speedup_below_the_floor_is_rejected() {
-        let err = validate(&doc(&full_schema8()), None, 3.0, 1, Some(10.0), 0).unwrap_err();
-        assert!(err.contains("below the required 10"), "{err}");
-        // A floor against a pre-wire schema is unprovable, not vacuously
-        // satisfied.
-        let old = format!("{}, {}", resync_row("simnet"), resync_row("tcp"));
-        let err = validate(&doc(&schema7(&old)), None, 3.0, 1, Some(5.0), 0).unwrap_err();
-        assert!(err.contains("needs schema 8"), "{err}");
+        rejects(&without(T, WIRE), &Floors::default(), "no wire_e2e");
     }
 
     #[test]
     fn matrix_switch_floor_demands_both_drivers_at_scale() {
-        // Only the simnet scale row present: the tcp gate trips.
-        let partial = schema8(&scale_row("simnet"), &scale_soak_row());
-        let err = validate(&doc(&partial), None, 3.0, 1, None, 1000).unwrap_err();
-        assert!(err.contains("switches >= 1000"), "{err}");
-        assert!(err.contains("tcp"), "{err}");
-        // A scale row with a false ack does not count as coverage.
-        let lying = full_schema8().replacen(
-            "\"switches\": 1000, \"planned\": 8, \"confirmed\": 8, \"false_acks\": 0",
-            "\"switches\": 1000, \"planned\": 8, \"confirmed\": 8, \"false_acks\": 1",
-            1,
+        rejects(
+            &without(M, SCALE_TCP),
+            &strict(),
+            "switches >= 1000 is required on both drivers; \"tcp\"",
         );
-        let err = validate(&doc(&lying), None, 3.0, 1, None, 1000).unwrap_err();
-        assert!(err.contains("switches >= 1000"), "{err}");
-        // A floor against a pre-scale schema is unprovable.
-        let old = format!("{}, {}", resync_row("simnet"), resync_row("tcp"));
-        let err = validate(&doc(&schema7(&old)), None, 3.0, 1, None, 1000).unwrap_err();
-        assert!(err.contains("needs schema 8"), "{err}");
+        // A scale row with a false ack does not count as coverage.
+        let mut lying = with(M, SCALE_SIMNET, "false_acks", Value::Int(1));
+        row(&mut lying, M, SCALE_SIMNET).insert("false_ack_rate".into(), Value::Float(0.125));
+        rejects(&lying, &strict(), "\"simnet\" is missing");
+        // Every row states its fleet size.
+        rejects(
+            &with(M, EARLY_SIMNET, "switches", Value::Int(0)),
+            &Floors::default(),
+            "at least 1",
+        );
+        let mut unsized_row = fixture();
+        row(&mut unsized_row, M, EARLY_SIMNET).remove("switches");
+        rejects(&unsized_row, &Floors::default(), "\"switches\"");
     }
 
     #[test]
     fn soak_switch_floor_demands_a_tcp_fleet_run() {
-        // Scale matrix rows present but the soak stayed at 3 switches.
-        let no_scale_soak = schema8(
-            &format!("{}, {}", scale_row("simnet"), scale_row("tcp")),
-            "",
+        rejects(
+            &without(S, SOAK_SCALE_TCP),
+            &strict(),
+            "no tcp session_soak row with switches >= 1000",
         );
-        let err = validate(&doc(&no_scale_soak), None, 3.0, 1, None, 1000).unwrap_err();
-        assert!(err.contains("no tcp session_soak row"), "{err}");
+        let mut unsized_row = fixture();
+        row(&mut unsized_row, S, SOAK_SIMNET).remove("switches");
+        rejects(&unsized_row, &Floors::default(), "\"switches\"");
     }
 }

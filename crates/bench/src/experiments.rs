@@ -757,17 +757,22 @@ mod tests {
         assert!(broken.total_drops > 0, "the baseline must drop packets");
         assert!(broken.max_broken_ms() > 50.0);
 
-        let fixed = run_end_to_end(EndToEndTechnique::General, 30, 250, 1);
-        assert_eq!(
-            fixed.total_drops, 0,
-            "general probing must not drop packets"
-        );
-        assert_eq!(fixed.migrated_flows, 30);
-        assert!(
-            fixed.max_broken_ms() <= 8.0,
-            "max broken {}",
-            fixed.max_broken_ms()
-        );
+        for probing in [EndToEndTechnique::General, EndToEndTechnique::Sequential] {
+            let fixed = run_end_to_end(probing, 30, 250, 1);
+            assert_eq!(
+                fixed.total_drops,
+                0,
+                "{} must not drop packets",
+                probing.label()
+            );
+            assert_eq!(fixed.migrated_flows, 30);
+            assert!(
+                fixed.max_broken_ms() <= 8.0,
+                "{}: max broken {}",
+                probing.label(),
+                fixed.max_broken_ms()
+            );
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! *"Providing Reliable FIB Update Acknowledgments in SDN"* (CoNEXT 2014).
 //!
 //! Each experiment in the paper maps to one runner function here and one
-//! binary under `src/bin/`; the Criterion benches under `benches/` re-run the
-//! same code with reduced parameters so `cargo bench` stays fast.
+//! binary under `src/bin/`, its only entry point; the headline claims are
+//! asserted at reduced scale by the `experiments` unit tests.
 //!
 //! | Paper artefact | Runner | Binary |
 //! |---|---|---|
@@ -14,6 +14,14 @@
 //! | Table 1 (usable update rate)       | [`experiments::run_update_rate`]       | `table1_update_rate` |
 //! | §5.1 barrier-layer overhead        | [`experiments::run_barrier_layer`]     | `barrier_layer_overhead` |
 //! | §5.2 PacketIn/PacketOut rates      | [`experiments::run_pktio_rates`]       | `pktio_rates` |
+//!
+//! The reliability harnesses ([`scenario_matrix`], [`scale`],
+//! [`session_soak`]) judge every confirmation with the one ground-truth
+//! judge, `ofswitch::Verdict`; `bench_results` writes their rows and the
+//! throughput rows to `BENCH_results.json` ([`report::results_json`]), and
+//! `validate_results` gates that file.  The Criterion benches under
+//! `benches/` (`microbench`, `throughput`, `telemetry_overhead`) time the
+//! hot paths; none of them re-runs a figure.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

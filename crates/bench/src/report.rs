@@ -2,6 +2,7 @@
 
 use crate::experiments::{ActivationSample, EndToEndResult, FlowRow};
 use crate::scenario_matrix::{MatrixCell, ResyncVerdict};
+use telemetry::json;
 
 /// Formats the per-flow rows of an end-to-end run as CSV
 /// (`flow,last_old_ms,update_time_ms,broken_ms`).
@@ -95,7 +96,7 @@ impl ExperimentRecord {
 }
 
 /// One throughput experiment's aggregate result, persisted alongside the
-/// latency records in `BENCH_results.json` (schema 2).
+/// latency records in `BENCH_results.json`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThroughputRecord {
     /// Experiment name (e.g. `flow_mod_install/indexed_100k`).
@@ -113,9 +114,9 @@ pub struct ThroughputRecord {
     /// baseline was measured; the JSON row then carries a `speedup` field.
     pub baseline_ops_per_sec: Option<f64>,
     /// Slowdown relative to the uninstrumented variant of the same workload
-    /// in percent, when one was measured (the `telemetry_overhead` rows,
-    /// schema 5).  May be slightly negative: it is a difference of two
-    /// noisy measurements.
+    /// in percent, when one was measured (the `telemetry_overhead` rows).
+    /// May be slightly negative: it is a difference of two noisy
+    /// measurements.
     pub overhead_pct: Option<f64>,
 }
 
@@ -154,8 +155,8 @@ impl ThroughputRecord {
     }
 }
 
-/// One scenario-matrix cell as persisted to `BENCH_results.json` (schema 5;
-/// resync fields since schema 7): the reliability measurement of one
+/// One scenario-matrix cell as persisted to `BENCH_results.json`: the
+/// reliability measurement of one
 /// (driver, fault model, technique) combination.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatrixRecord {
@@ -165,7 +166,7 @@ pub struct MatrixRecord {
     pub fault: String,
     /// Technique label (e.g. `barrier-only`, `rum-general`).
     pub technique: String,
-    /// Monitored switches in the run's topology (schema 8): 3 for the
+    /// Monitored switches in the run's topology: 3 for the
     /// classic bulk chain, 64/1,000 for the sharded scale rows.
     pub switches: u64,
     /// Rules in the plan.
@@ -185,8 +186,8 @@ pub struct MatrixRecord {
     /// False when the technique's soundness claim does not apply under this
     /// fault model (the cell was recorded with zero counts, not run).
     pub applicable: bool,
-    /// Reconciliation verdict — present only on `restart_resync` cells
-    /// (schema 7): did the declarative resync restore the wiped table?
+    /// Reconciliation verdict — present only on `restart_resync` cells: did
+    /// the declarative resync restore the wiped table?
     pub resync: Option<ResyncVerdict>,
 }
 
@@ -210,7 +211,7 @@ impl From<&MatrixCell> for MatrixRecord {
     }
 }
 
-/// One session-soak run as persisted to `BENCH_results.json` (schema 6):
+/// One session-soak run as persisted to `BENCH_results.json`:
 /// hundreds of concurrent tenant sessions multiplexed through `sessiond`
 /// on one driver under one fault model, with ground-truth verdicts and
 /// confirm-latency tail percentiles.
@@ -220,7 +221,7 @@ pub struct SessionSoakRecord {
     pub driver: String,
     /// Fault-model name of the device under test (e.g. `early_reply`).
     pub fault: String,
-    /// Monitored switches behind the proxy (schema 8): 3 for the classic
+    /// Monitored switches behind the proxy: 3 for the classic
     /// chain, 1,000 for the sharded scale soak.
     pub switches: u64,
     /// Concurrently admitted tenant sessions.
@@ -249,19 +250,10 @@ pub struct SessionSoakRecord {
     pub wall_ms: f64,
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
+/// A number as `BENCH_results.json` spells it: three decimals, or `null`
+/// for NaN/infinity (JSON has neither), which the validator reads back as
+/// NaN and rejects wherever a value is required.
 fn json_num(v: f64) -> String {
-    // JSON has no NaN/Infinity; represent missing data as null.
     if v.is_finite() {
         format!("{v:.3}")
     } else {
@@ -269,8 +261,53 @@ fn json_num(v: f64) -> String {
     }
 }
 
-/// Renders the records as the `BENCH_results.json` document, schema 8
-/// (handwritten JSON — the build environment has no serde):
+/// One object row of the results document, built field by field.
+struct JsonRow(String);
+
+impl JsonRow {
+    fn new() -> Self {
+        JsonRow(String::from("{"))
+    }
+
+    fn field(mut self, key: &str, value: impl std::fmt::Display) -> Self {
+        if self.0.len() > 1 {
+            self.0.push_str(", ");
+        }
+        json::write_string(&mut self.0, key);
+        self.0.push_str(&format!(": {value}"));
+        self
+    }
+
+    fn str(self, key: &str, value: &str) -> Self {
+        let mut quoted = String::new();
+        json::write_string(&mut quoted, value);
+        self.field(key, quoted)
+    }
+
+    fn num(self, key: &str, value: f64) -> Self {
+        self.field(key, json_num(value))
+    }
+
+    fn end(mut self) -> String {
+        self.0.push('}');
+        self.0
+    }
+}
+
+/// Appends `"name": [rows]` to the document, one row per line.
+fn push_section(out: &mut String, name: &str, rows: impl Iterator<Item = String>) {
+    out.push_str(",\n  ");
+    json::write_string(out, name);
+    out.push_str(": [");
+    for (i, row) in rows.enumerate() {
+        out.push_str(if i == 0 { "\n    " } else { ",\n    " });
+        out.push_str(&row);
+    }
+    out.push_str("\n  ]");
+}
+
+/// Renders the records as the `BENCH_results.json` document, schema 8 —
+/// the one schema `validate_results` accepts:
 ///
 /// ```json
 /// {
@@ -288,17 +325,17 @@ fn json_num(v: f64) -> String {
 ///   "scenario_matrix": [
 ///     {"experiment": "scenario_matrix/<driver>/<fault>/<technique>",
 ///      "driver": "...", "fault": "...", "technique": "...",
-///      "switches": n,                                     // schema 8
+///      "switches": n,
 ///      "planned": n, "confirmed": n, "false_acks": n, "missed_acks": n,
 ///      "false_ack_rate": f, "missed_ack_rate": f, "completion_ms": f|null,
 ///      "applicable": true|false,
 ///      "resync_converged": b, "resync_rounds": n,        // restart_resync
 ///      "resync_final_diff": n, "resync_delta_mods": n,   // rows only
-///      "resync_table_matches": b}                        // (schema 7)
+///      "resync_table_matches": b}
 ///   ],
 ///   "session_soak": [
 ///     {"experiment": "session_soak/<driver>/<fault>",
-///      "driver": "...", "fault": "...", "switches": n,    // schema 8
+///      "driver": "...", "fault": "...", "switches": n,
 ///      "sessions": n, "completed": n,
 ///      "aborted": n, "planned_mods": n, "confirmed_mods": n,
 ///      "false_acks": n, "missed_acks": n, "stray_acks": n,
@@ -313,102 +350,97 @@ pub fn results_json(
     matrix: &[MatrixRecord],
     soak: &[SessionSoakRecord],
 ) -> String {
-    let mut out = String::from("{\n  \"schema\": 8,\n  \"results\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"experiment\": \"{}\", \"median_completion_ms\": {}, \
-             \"p95_completion_ms\": {}, \"confirms\": {}, \"runs\": {}}}{}\n",
-            json_escape(&r.experiment),
-            json_num(r.median_completion_ms),
-            json_num(r.p95_completion_ms),
-            r.confirms,
-            r.runs,
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"throughput\": [\n");
-    for (i, r) in throughput.iter().enumerate() {
-        let mut row = format!(
-            "    {{\"experiment\": \"{}\", \"ops\": {}, \"median_elapsed_ms\": {}, \
-             \"ops_per_sec\": {}, \"runs\": {}",
-            json_escape(&r.experiment),
-            r.ops,
-            json_num(r.median_elapsed_ms),
-            json_num(r.ops_per_sec),
-            r.runs,
-        );
-        if let (Some(base), Some(speedup)) = (r.baseline_ops_per_sec, r.speedup()) {
-            row.push_str(&format!(
-                ", \"baseline_ops_per_sec\": {}, \"speedup\": {}",
-                json_num(base),
-                json_num(speedup)
-            ));
-        }
-        if let Some(overhead) = r.overhead_pct {
-            row.push_str(&format!(", \"overhead_pct\": {}", json_num(overhead)));
-        }
-        row.push_str(&format!(
-            "}}{}\n",
-            if i + 1 < throughput.len() { "," } else { "" }
-        ));
-        out.push_str(&row);
-    }
-    out.push_str("  ],\n  \"scenario_matrix\": [\n");
-    for (i, r) in matrix.iter().enumerate() {
-        let completion = match r.completion_ms {
-            Some(v) => json_num(v),
-            None => "null".into(),
-        };
-        let mut row = format!(
-            "    {{\"experiment\": \"scenario_matrix/{d}/{f}/{t}\", \"driver\": \"{d}\",              \"fault\": \"{f}\", \"technique\": \"{t}\", \"switches\": {},              \"planned\": {},              \"confirmed\": {}, \"false_acks\": {}, \"missed_acks\": {},              \"false_ack_rate\": {}, \"missed_ack_rate\": {}, \"completion_ms\": {},              \"applicable\": {}",
-            r.switches,
-            r.planned,
-            r.confirmed,
-            r.false_acks,
-            r.missed_acks,
-            json_num(r.false_ack_rate),
-            json_num(r.missed_ack_rate),
-            completion,
-            r.applicable,
-            d = json_escape(&r.driver),
-            f = json_escape(&r.fault),
-            t = json_escape(&r.technique),
-        );
-        if let Some(v) = &r.resync {
-            row.push_str(&format!(
-                ",              \"resync_converged\": {}, \"resync_rounds\": {},              \"resync_final_diff\": {}, \"resync_delta_mods\": {},              \"resync_table_matches\": {}",
-                v.converged, v.rounds, v.final_diff, v.delta_mods, v.table_matches,
-            ));
-        }
-        row.push_str(&format!(
-            "}}{}\n",
-            if i + 1 < matrix.len() { "," } else { "" }
-        ));
-        out.push_str(&row);
-    }
-    out.push_str("  ],\n  \"session_soak\": [\n");
-    for (i, r) in soak.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"experiment\": \"session_soak/{d}/{f}\", \"driver\": \"{d}\",              \"fault\": \"{f}\", \"switches\": {}, \"sessions\": {}, \"completed\": {},              \"aborted\": {}, \"planned_mods\": {}, \"confirmed_mods\": {},              \"false_acks\": {}, \"missed_acks\": {}, \"stray_acks\": {},              \"p50_confirm_ms\": {}, \"p99_confirm_ms\": {},              \"p999_confirm_ms\": {}, \"wall_ms\": {}}}{}\n",
-            r.switches,
-            r.sessions,
-            r.completed,
-            r.aborted,
-            r.planned_mods,
-            r.confirmed_mods,
-            r.false_acks,
-            r.missed_acks,
-            r.stray_acks,
-            json_num(r.p50_confirm_ms),
-            json_num(r.p99_confirm_ms),
-            json_num(r.p999_confirm_ms),
-            json_num(r.wall_ms),
-            if i + 1 < soak.len() { "," } else { "" },
-            d = json_escape(&r.driver),
-            f = json_escape(&r.fault),
-        ));
-    }
-    out.push_str("  ]\n}\n");
+    let mut out = String::from("{\n  \"schema\": 8");
+    push_section(
+        &mut out,
+        "results",
+        records.iter().map(|r| {
+            JsonRow::new()
+                .str("experiment", &r.experiment)
+                .num("median_completion_ms", r.median_completion_ms)
+                .num("p95_completion_ms", r.p95_completion_ms)
+                .field("confirms", r.confirms)
+                .field("runs", r.runs)
+                .end()
+        }),
+    );
+    push_section(
+        &mut out,
+        "throughput",
+        throughput.iter().map(|r| {
+            let mut row = JsonRow::new()
+                .str("experiment", &r.experiment)
+                .field("ops", r.ops)
+                .num("median_elapsed_ms", r.median_elapsed_ms)
+                .num("ops_per_sec", r.ops_per_sec)
+                .field("runs", r.runs);
+            if let (Some(base), Some(speedup)) = (r.baseline_ops_per_sec, r.speedup()) {
+                row = row
+                    .num("baseline_ops_per_sec", base)
+                    .num("speedup", speedup);
+            }
+            if let Some(overhead) = r.overhead_pct {
+                row = row.num("overhead_pct", overhead);
+            }
+            row.end()
+        }),
+    );
+    push_section(
+        &mut out,
+        "scenario_matrix",
+        matrix.iter().map(|r| {
+            let name = format!("scenario_matrix/{}/{}/{}", r.driver, r.fault, r.technique);
+            let mut row = JsonRow::new()
+                .str("experiment", &name)
+                .str("driver", &r.driver)
+                .str("fault", &r.fault)
+                .str("technique", &r.technique)
+                .field("switches", r.switches)
+                .field("planned", r.planned)
+                .field("confirmed", r.confirmed)
+                .field("false_acks", r.false_acks)
+                .field("missed_acks", r.missed_acks)
+                .num("false_ack_rate", r.false_ack_rate)
+                .num("missed_ack_rate", r.missed_ack_rate)
+                .num("completion_ms", r.completion_ms.unwrap_or(f64::NAN))
+                .field("applicable", r.applicable);
+            if let Some(v) = &r.resync {
+                row = row
+                    .field("resync_converged", v.converged)
+                    .field("resync_rounds", v.rounds)
+                    .field("resync_final_diff", v.final_diff)
+                    .field("resync_delta_mods", v.delta_mods)
+                    .field("resync_table_matches", v.table_matches);
+            }
+            row.end()
+        }),
+    );
+    push_section(
+        &mut out,
+        "session_soak",
+        soak.iter().map(|r| {
+            let name = format!("session_soak/{}/{}", r.driver, r.fault);
+            JsonRow::new()
+                .str("experiment", &name)
+                .str("driver", &r.driver)
+                .str("fault", &r.fault)
+                .field("switches", r.switches)
+                .field("sessions", r.sessions)
+                .field("completed", r.completed)
+                .field("aborted", r.aborted)
+                .field("planned_mods", r.planned_mods)
+                .field("confirmed_mods", r.confirmed_mods)
+                .field("false_acks", r.false_acks)
+                .field("missed_acks", r.missed_acks)
+                .field("stray_acks", r.stray_acks)
+                .num("p50_confirm_ms", r.p50_confirm_ms)
+                .num("p99_confirm_ms", r.p99_confirm_ms)
+                .num("p999_confirm_ms", r.p999_confirm_ms)
+                .num("wall_ms", r.wall_ms)
+                .end()
+        }),
+    );
+    out.push_str("\n}\n");
     out
 }
 
@@ -674,7 +706,7 @@ mod tests {
         assert!(json.contains("\"completion_ms\": 812.500"));
         assert!(json.contains("\"completion_ms\": null"));
         assert!(json.contains("\"applicable\": true"));
-        // Resync fields appear only on the restart_resync row (schema 7).
+        // Resync fields appear only on the restart_resync row.
         let resync_row = json.lines().find(|l| l.contains("restart_resync")).unwrap();
         assert!(resync_row.contains("\"resync_converged\": true"));
         assert!(resync_row.contains("\"resync_rounds\": 2"));
@@ -692,6 +724,15 @@ mod tests {
         assert!(json.contains("\"stray_acks\": 0"));
         // One trailing comma-less record per section.
         assert_eq!(json.matches("},\n").count(), 6);
+        // And the validator's parser reads the document back.
+        let doc = json::parse(&json).expect("the writer emits valid JSON");
+        assert_eq!(
+            doc.as_obj().unwrap()["scenario_matrix"]
+                .as_arr()
+                .unwrap()
+                .len(),
+            3
+        );
     }
 
     #[test]

@@ -11,20 +11,20 @@
 //! connections are attached (both drivers gate on that), so the measured
 //! run really is `n` concurrent switches behind one sharded engine.
 //!
-//! Verdicts are classified per rule against **that rule's own switch**
-//! ground truth and flow through the registry under
-//! `scale.{driver}.{n}.{fault}.{technique}.*` — the same delta-read pattern
-//! the classic matrix uses, in a distinct namespace so live telemetry can
-//! tell the fleet runs apart from the chain runs.
+//! The `ofswitch::Verdict` judge classifies each rule against **that rule's
+//! own switch** ground truth; its counts also land in the registry under
+//! `scale.{driver}.{n}.{fault}.{technique}.*`, a namespace apart from the
+//! classic matrix's so live telemetry can tell the fleet runs from the chain
+//! runs.
 
 use crate::report::percentile;
-use crate::scenario_matrix::{FaultModel, MatrixCell, MatrixTechnique};
+use crate::scenario_matrix::{count_verdict, FaultModel, MatrixCell, MatrixTechnique};
 use crate::session_soak::{
     collect, mux_config, probing, summarise, tenant_plan_for, SoakConfig, SoakOutcome,
 };
 use controller::scenarios::{COOKIE_NEW_RULE_BASE, COOKIE_PREINSTALLED, DROP_ALL_PRIORITY};
 use controller::{AckMode, Controller, UpdatePlan, UpdateSession};
-use ofswitch::{FaultPlan, GroundTruth, SwitchModel};
+use ofswitch::{FaultPlan, GroundTruth, SwitchModel, Verdict};
 use openflow::messages::FlowMod;
 use openflow::{Action, DatapathId, OfMatch};
 use rum::{deploy, RumBuilder, SwitchId, SwitchPortMap};
@@ -126,9 +126,9 @@ fn preinstalled_drop_all() -> FlowMod {
         .with_cookie(COOKIE_PREINSTALLED)
 }
 
-/// Joins every rule's confirmation against **its own switch's** ground
-/// truth.  Counters are driven through the registry under
-/// `scale.{driver}.{n}.{fault}.{technique}.*` and read back as deltas.
+/// Judges every rule's confirmation against **its own switch's** ground
+/// truth; the counts also land in the
+/// `scale.{driver}.{n}.{fault}.{technique}.*` counters.
 #[allow(clippy::too_many_arguments)] // private join of a run's artefacts
 fn classify_scale(
     driver: &'static str,
@@ -141,35 +141,14 @@ fn classify_scale(
     registry: &Registry,
 ) -> MatrixCell {
     let n = truths.len();
+    let verdict = Verdict::of(
+        planned
+            .iter()
+            .map(|&(cookie, sw)| (&truths[sw], cookie, confirmations.get(&cookie).copied())),
+    );
     let prefix = format!("scale.{driver}.{n}.{}.{}", fault.name, technique.label());
-    let false_ctr = registry.counter(&format!("{prefix}.false_acks"));
-    let missed_ctr = registry.counter(&format!("{prefix}.missed_acks"));
-    let (false_before, missed_before) = (false_ctr.get(), missed_ctr.get());
-    for &(cookie, sw) in planned {
-        match confirmations.get(&cookie) {
-            Some(&at) => {
-                if !truths[sw].active_at(cookie, at) {
-                    false_ctr.inc();
-                }
-            }
-            None => missed_ctr.inc(),
-        }
-    }
-    let false_acks = (false_ctr.get() - false_before) as usize;
-    let missed_acks = (missed_ctr.get() - missed_before) as usize;
-    MatrixCell {
-        driver,
-        fault: fault.name.to_string(),
-        technique: technique.label(),
-        switches: n,
-        planned: planned.len(),
-        confirmed: planned.len() - missed_acks,
-        false_acks,
-        missed_acks,
-        completion_ms,
-        applicable: true,
-        resync: None,
-    }
+    count_verdict(registry, &prefix, &verdict);
+    MatrixCell::judged(driver, fault, technique, n, verdict, completion_ms)
 }
 
 /// When the simulated controller starts pushing the update.

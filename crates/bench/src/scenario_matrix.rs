@@ -24,7 +24,7 @@ use controller::{
     AckMode, BackoffPolicy, Controller, DesiredStore, FailurePolicy, ResyncConfig, ResyncStatus,
     UpdateSession,
 };
-use ofswitch::{BarrierMode, FaultPlan, FlowEntry, GroundTruth, SwitchModel};
+use ofswitch::{BarrierMode, FaultPlan, FlowEntry, GroundTruth, SwitchModel, Verdict};
 use rum::{deploy, RumBuilder, SwitchId, SwitchPortMap, TechniqueConfig};
 use rum_tcp::{
     spawn_switch_with, Fabric, ProxyConfig, RumTcpProxy, SwitchHostOptions, TcpUpdateController,
@@ -354,6 +354,30 @@ pub struct MatrixCell {
 }
 
 impl MatrixCell {
+    /// An applicable cell holding the ground-truth judge's counts.
+    pub(crate) fn judged(
+        driver: &'static str,
+        fault: &FaultModel,
+        technique: &MatrixTechnique,
+        switches: usize,
+        verdict: Verdict,
+        completion_ms: Option<f64>,
+    ) -> MatrixCell {
+        MatrixCell {
+            driver,
+            fault: fault.name.to_string(),
+            technique: technique.label(),
+            switches,
+            planned: verdict.planned as usize,
+            confirmed: verdict.confirmed as usize,
+            false_acks: verdict.false_acks as usize,
+            missed_acks: verdict.missed_acks as usize,
+            completion_ms,
+            applicable: true,
+            resync: None,
+        }
+    }
+
     /// The placeholder recorded for a (technique, fault) pair outside the
     /// technique's soundness domain.
     pub fn not_applicable(
@@ -362,22 +386,11 @@ impl MatrixCell {
         technique: &MatrixTechnique,
     ) -> MatrixCell {
         MatrixCell {
-            driver,
-            fault: fault.name.to_string(),
-            technique: technique.label(),
-            switches: 3,
-            planned: 0,
-            confirmed: 0,
-            false_acks: 0,
-            missed_acks: 0,
-            completion_ms: None,
             applicable: false,
-            resync: None,
+            ..MatrixCell::judged(driver, fault, technique, 3, Verdict::default(), None)
         }
     }
-}
 
-impl MatrixCell {
     /// False acknowledgments as a fraction of the plan.
     pub fn false_ack_rate(&self) -> f64 {
         self.false_acks as f64 / self.planned.max(1) as f64
@@ -389,14 +402,22 @@ impl MatrixCell {
     }
 }
 
-/// Classifies a run: joins the controller's confirmation times against the
-/// device under test's ground truth.
-///
-/// The counts are driven *through* the telemetry registry — one
-/// `matrix.{driver}.{fault}.{technique}.{false_acks,missed_acks}` counter
-/// pair per cell, the same vocabulary live runs use — and the cell reads
-/// its numbers back as counter deltas, so the registry and the report can
-/// never disagree.
+/// Adds a verdict's false and missed acks to the `{prefix}.false_acks` and
+/// `{prefix}.missed_acks` counters — the vocabulary live runs use
+/// (`matrix.*`, `scale.*`, `soak.*`).
+pub(crate) fn count_verdict(registry: &Registry, prefix: &str, verdict: &Verdict) {
+    registry
+        .counter(&format!("{prefix}.false_acks"))
+        .add(verdict.false_acks);
+    registry
+        .counter(&format!("{prefix}.missed_acks"))
+        .add(verdict.missed_acks);
+}
+
+/// Judges the device under test's confirmation of every planned cookie
+/// against its ground truth; the counts also land in the
+/// `matrix.{driver}.{fault}.{technique}.*` counters.  The classic cells all
+/// run the 3-switch bulk chain.
 #[allow(clippy::too_many_arguments)] // private join of a run's artefacts
 fn classify(
     driver: &'static str,
@@ -408,37 +429,14 @@ fn classify(
     completion_ms: Option<f64>,
     registry: &Registry,
 ) -> MatrixCell {
+    let verdict = Verdict::of(
+        planned
+            .iter()
+            .map(|&cookie| (truth, cookie, confirmations.get(&cookie).copied())),
+    );
     let prefix = format!("matrix.{driver}.{}.{}", fault.name, technique.label());
-    let false_ctr = registry.counter(&format!("{prefix}.false_acks"));
-    let missed_ctr = registry.counter(&format!("{prefix}.missed_acks"));
-    let (false_before, missed_before) = (false_ctr.get(), missed_ctr.get());
-    for &cookie in planned {
-        match confirmations.get(&cookie) {
-            Some(&at) => {
-                if !truth.active_at(cookie, at) {
-                    false_ctr.inc();
-                }
-            }
-            None => missed_ctr.inc(),
-        }
-    }
-    let false_acks = (false_ctr.get() - false_before) as usize;
-    let missed_acks = (missed_ctr.get() - missed_before) as usize;
-    MatrixCell {
-        driver,
-        fault: fault.name.to_string(),
-        technique: technique.label(),
-        // The classic cells all run the 3-switch bulk chain; the sharded
-        // scale cells (`crate::scale`) overwrite this with the fleet size.
-        switches: 3,
-        planned: planned.len(),
-        confirmed: planned.len() - missed_acks,
-        false_acks,
-        missed_acks,
-        completion_ms,
-        applicable: true,
-        resync: None,
-    }
+    count_verdict(registry, &prefix, &verdict);
+    MatrixCell::judged(driver, fault, technique, 3, verdict, completion_ms)
 }
 
 /// When the simulated controller starts pushing the update.

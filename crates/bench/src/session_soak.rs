@@ -22,15 +22,15 @@
 //! counters flow through the telemetry registry
 //! (`soak.{driver}.{fault}.{false_acks,missed_acks}`), and per-modification
 //! confirm latencies feed the tail percentiles (p50/p99/p99.9) of the
-//! `session_soak` section of `BENCH_results.json` (schema 6).
+//! `session_soak` section of `BENCH_results.json`.
 
 use crate::report::{percentile, SessionSoakRecord};
-use crate::scenario_matrix::{restart_reconnect_delay, tcp_port_maps, FaultModel};
+use crate::scenario_matrix::{count_verdict, restart_reconnect_delay, tcp_port_maps, FaultModel};
 use controller::scenarios::{
     bulk_ports, BulkUpdateScenario, COOKIE_PREINSTALLED, DROP_ALL_PRIORITY, FLOW_RULE_PRIORITY,
 };
 use controller::{AckMode, SessionOutcome, UpdatePlan};
-use ofswitch::{GroundTruth, SwitchModel};
+use ofswitch::{GroundTruth, SwitchModel, Verdict};
 use openflow::messages::FlowMod;
 use openflow::{Action, OfMatch};
 use rum::{deploy, RumBuilder, TechniqueConfig};
@@ -202,11 +202,10 @@ pub(crate) fn collect(mux: &SessionMux, sids: &[SessionId], mods: usize) -> Vec<
         .collect()
 }
 
-/// Joins every tenant's confirmations against the device under test's
-/// ground truth and aggregates the soak record.  Verdicts are driven
-/// *through* the registry (`soak.{driver}.{fault}.*` counters, read back as
-/// deltas), the same pattern the scenario matrix uses, so live telemetry
-/// and the report can never disagree.
+/// Judges every tenant's confirmations against the device under test's
+/// ground truth and aggregates the soak record.  The judge's counts also
+/// land in the `soak.{driver}.{fault}.*` counters, as the scenario matrix's
+/// do.
 #[allow(clippy::too_many_arguments)] // private join of a run's artefacts
 pub(crate) fn summarise(
     driver: &'static str,
@@ -219,29 +218,17 @@ pub(crate) fn summarise(
     registry: &Registry,
 ) -> SessionSoakRecord {
     assert_eq!(truths.len(), tenants.len(), "one ground truth per tenant");
-    let false_ctr = registry.counter(&format!("soak.{driver}.{fault}.false_acks"));
-    let missed_ctr = registry.counter(&format!("soak.{driver}.{fault}.missed_acks"));
-    let (false_before, missed_before) = (false_ctr.get(), missed_ctr.get());
+    let mut verdict = Verdict::default();
     let mut latencies_ms = Vec::new();
-    let mut planned = 0u64;
-    let mut confirmed = 0u64;
     for (t, truth) in tenants.iter().zip(truths) {
         for &(wire, send, confirm) in &t.mods {
-            planned += 1;
-            match confirm {
-                Some(at) => {
-                    confirmed += 1;
-                    if !truth.active_at(wire, at) {
-                        false_ctr.inc();
-                    }
-                    if let Some(sent) = send {
-                        latencies_ms.push(at.saturating_sub(sent).as_secs_f64() * 1e3);
-                    }
-                }
-                None => missed_ctr.inc(),
+            verdict.judge(truth, wire, confirm);
+            if let (Some(at), Some(sent)) = (confirm, send) {
+                latencies_ms.push(at.saturating_sub(sent).as_secs_f64() * 1e3);
             }
         }
     }
+    count_verdict(registry, &format!("soak.{driver}.{fault}"), &verdict);
     SessionSoakRecord {
         driver: driver.to_string(),
         fault: fault.to_string(),
@@ -249,10 +236,10 @@ pub(crate) fn summarise(
         sessions: tenants.len() as u64,
         completed: tenants.iter().filter(|t| t.completed).count() as u64,
         aborted: tenants.iter().filter(|t| t.aborted).count() as u64,
-        planned_mods: planned,
-        confirmed_mods: confirmed,
-        false_acks: false_ctr.get() - false_before,
-        missed_acks: missed_ctr.get() - missed_before,
+        planned_mods: verdict.planned,
+        confirmed_mods: verdict.confirmed,
+        false_acks: verdict.false_acks,
+        missed_acks: verdict.missed_acks,
         stray_acks,
         p50_confirm_ms: percentile(&latencies_ms, 0.5).unwrap_or(f64::NAN),
         p99_confirm_ms: percentile(&latencies_ms, 0.99).unwrap_or(f64::NAN),

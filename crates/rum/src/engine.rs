@@ -242,6 +242,9 @@ struct SwitchMetrics {
     proxy_flow_mods: Arc<Counter>,
     probes_injected: Arc<Counter>,
     probes_consumed: Arc<Counter>,
+    /// Probe-marked PacketIns punted for a reason other than a rule's
+    /// to-controller action (e.g. a table miss), which prove nothing.
+    probes_wrong_reason: Arc<Counter>,
     acks_sent: Arc<Counter>,
     barrier_replies_released: Arc<Counter>,
     rejected_xids: Arc<Counter>,
@@ -263,6 +266,7 @@ impl SwitchMetrics {
             proxy_flow_mods: registry.counter(&name("proxy_flow_mods")),
             probes_injected: registry.counter(&name("probes_injected")),
             probes_consumed: registry.counter(&name("probes_consumed")),
+            probes_wrong_reason: registry.counter(&name("probes_wrong_reason")),
             acks_sent: registry.counter(&name("acks_sent")),
             barrier_replies_released: registry.counter(&name("barrier_replies_released")),
             rejected_xids: registry.counter(&name("rejected_xids")),
@@ -774,6 +778,9 @@ impl RumEngine {
                         // return.  Either way the packet is RUM's own and
                         // never reaches the controller.
                         if body.reason != openflow::constants::packet_in_reason::ACTION {
+                            if self.config.owns(switch) {
+                                self.switches[i].metrics.probes_wrong_reason.inc();
+                            }
                             return;
                         }
                         // Probe PacketIns are the one input a sharded driver
@@ -813,11 +820,14 @@ impl RumEngine {
                 } else {
                     // A controller modification failed: the rule will never
                     // appear in the data plane, so treat it as resolved for
-                    // barrier purposes and pass the error through.
+                    // barrier purposes, stop the technique's work on it and
+                    // pass the error through.
                     let id = u64::from(xid);
-                    if let Some(m) = self.switches[i].unconfirmed.remove(&id) {
-                        self.switches[i].resolve_cookie(m.seq);
-                        self.switches[i].sync_unconfirmed_gauge();
+                    let state = &mut self.switches[i];
+                    if let Some(m) = state.unconfirmed.remove(&id) {
+                        state.resolve_cookie(m.seq);
+                        state.sync_unconfirmed_gauge();
+                        state.technique.on_flow_mod_rejected(id);
                     }
                     effects.push(Effect::ToController {
                         via: switch,
@@ -1088,7 +1098,7 @@ fn build_technique(config: &RumConfig, switch: SwitchId) -> Box<dyn AckTechnique
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RumBuilder;
+    use crate::config::{RumBuilder, SwitchPortMap};
     use openflow::messages::FlowMod;
     use openflow::{Action, OfMatch};
     use std::net::Ipv4Addr;
@@ -1770,5 +1780,118 @@ mod tests {
         assert!(!effects
             .iter()
             .any(|eff| matches!(eff, Effect::Confirmed { .. })));
+    }
+
+    /// General probing on switch 0, whose rules forward out port 2 to the
+    /// catch switch 1; probes are injected through switch 1.
+    fn probing_pair(max_outstanding: usize) -> RumEngine {
+        let mut map = SwitchPortMap::default();
+        map.port_to_switch.insert(2, SwitchId::new(1));
+        map.inject_via = Some((SwitchId::new(1), 1));
+        RumBuilder::new(2)
+            .technique(TechniqueConfig::GeneralProbing {
+                probe_interval: Duration::from_millis(10),
+                max_outstanding,
+                fallback_delay: Duration::from_millis(300),
+            })
+            .port_maps(vec![map, SwitchPortMap::default()])
+            .build()
+    }
+
+    fn forwarding(xid: Xid, i: u8) -> Input {
+        Input::FromController {
+            switch: SwitchId::new(0),
+            message: OfMessage::FlowMod {
+                xid,
+                body: FlowMod::add(
+                    OfMatch::ipv4_pair(Ipv4Addr::new(10, 0, 0, i), Ipv4Addr::new(10, 1, 0, i)),
+                    100,
+                    vec![Action::output(2)],
+                ),
+            },
+        }
+    }
+
+    /// The probe packets injected by `effects`.
+    fn probes(effects: &[Effect]) -> Vec<Vec<u8>> {
+        effects
+            .iter()
+            .filter_map(|eff| match eff {
+                Effect::InjectVia {
+                    message: OfMessage::PacketOut { body, .. },
+                    ..
+                } => Some(body.data.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A rule the switch rejected is never probed again, and stops holding
+    /// one of the `max_outstanding` probe slots.
+    #[test]
+    fn rejected_flow_mod_is_no_longer_probed() {
+        let mut e = probing_pair(1);
+        let sw = SwitchId::new(0);
+        e.start(Duration::ZERO);
+        let rejected = probes(&e.handle(Duration::ZERO, forwarding(1, 1)));
+        assert_eq!(rejected.len(), 1, "the first rule is probed at once");
+        assert!(
+            probes(&e.handle(Duration::ZERO, forwarding(2, 2))).is_empty(),
+            "the second rule waits beyond the cap of 1"
+        );
+        e.handle(
+            Duration::from_millis(1),
+            Input::FromSwitch {
+                switch: sw,
+                message: OfMessage::Error {
+                    xid: 1,
+                    body: openflow::messages::ErrorMsg {
+                        err_type: openflow::constants::error_type::FLOW_MOD_FAILED,
+                        code: 0,
+                        data: vec![],
+                    },
+                },
+            },
+        );
+        assert_eq!(e.stats(sw).unconfirmed, 1);
+        // The next probe round (switch 0's tick, technique token 1) spends
+        // its one slot on the later rule.
+        let round = probes(&e.handle(
+            Duration::from_millis(10),
+            Input::TimerFired {
+                token: TimerToken::from_raw(1),
+            },
+        ));
+        assert_eq!(round.len(), 1);
+        assert_ne!(round, rejected, "the rejected rule was probed again");
+    }
+
+    /// A probe-marked packet punted for a table miss proves nothing: it is
+    /// counted under `probes_wrong_reason`, not consumed as a probe return.
+    #[test]
+    fn probe_packet_in_with_wrong_reason_is_counted_not_consumed() {
+        let mut e = probing_pair(30);
+        let catch = SwitchId::new(1);
+        e.start(Duration::ZERO);
+        let probe = probes(&e.handle(Duration::ZERO, forwarding(1, 1))).remove(0);
+        let effects = e.handle(
+            Duration::from_millis(1),
+            Input::FromSwitch {
+                switch: catch,
+                message: OfMessage::PacketIn {
+                    xid: 0,
+                    body: openflow::messages::PacketIn::unbuffered(
+                        2,
+                        openflow::constants::packet_in_reason::NO_MATCH,
+                        probe,
+                    ),
+                },
+            },
+        );
+        assert!(effects.is_empty(), "{effects:?}");
+        let counters = e.metrics().snapshot().counters;
+        assert_eq!(counters["rum.sw1.probes_wrong_reason"], 1);
+        assert_eq!(e.stats(catch).probes_consumed, 0);
+        assert_eq!(e.stats(SwitchId::new(0)).unconfirmed, 1);
     }
 }

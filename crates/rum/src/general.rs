@@ -350,6 +350,14 @@ impl AckTechnique for GeneralProbing {
         }
     }
 
+    fn on_flow_mod_rejected(&mut self, cookie: u64) {
+        let before = self.pending.len();
+        self.pending.retain(|p| p.cookie != cookie);
+        let dropped = before - self.pending.len()
+            + usize::from(self.fallback_pending.remove(&cookie).is_some());
+        self.unconfirmed = self.unconfirmed.saturating_sub(dropped);
+    }
+
     fn unconfirmed(&self) -> usize {
         self.unconfirmed
     }

@@ -80,6 +80,12 @@ pub trait AckTechnique: Send {
     /// A timer armed by this technique fired.
     fn on_timer(&mut self, _token: u64, _now: Duration, _out: &mut Vec<TechniqueOutput>) {}
 
+    /// The switch rejected the controller modification with this cookie
+    /// (an OpenFlow `Error`), so the rule will never reach the data plane
+    /// and the proxy no longer awaits its confirmation.  Techniques that
+    /// spend work per pending rule (probes) drop it here.
+    fn on_flow_mod_rejected(&mut self, _cookie: u64) {}
+
     /// The monitored switch restarted (tables wiped) and reattached.  The
     /// proxy has already re-issued the unconfirmed controller modifications
     /// on the fresh channel; the technique re-arms whatever confirmation

@@ -23,10 +23,10 @@
 //! comparable: the adversary is identical, only the transport differs.
 //!
 //! The engine also keeps the **ground truth** ([`GroundTruth`]): a timeline
-//! of every data-plane activation and removal.  An experiment classifies
-//! each controller-side confirmation against it — a confirmation at time `t`
-//! for a rule that was not active at `t` is a *false acknowledgment*, the
-//! paper's headline failure mode.
+//! of every data-plane activation and removal.  An experiment hands each
+//! planned rule's controller-side confirmation to the [`Verdict`] judge — a
+//! confirmation at time `t` for a rule that was not active at `t` is a
+//! *false acknowledgment*, the paper's headline failure mode.
 
 use crate::flow_table::{FlowTable, FlowTableError};
 use crate::model::{BarrierMode, SwitchModel};
@@ -35,7 +35,6 @@ use openflow::messages::{
     ErrorMsg, FlowMod, FlowRemoved, FlowStatsEntry, StatsReply, StatsRequest, MAX_STATS_BODY,
 };
 use openflow::{Action, OfMatch, OfMessage, PacketHeader, PortNo, Xid};
-use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -252,17 +251,6 @@ pub struct TruthEvent {
     pub activated: bool,
 }
 
-/// How a single confirmation compares against the data-plane ground truth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConfirmVerdict {
-    /// The rule was active in the data plane when the confirmation was
-    /// issued.
-    TrueAck,
-    /// The rule was **not** active at confirmation time (it activated later,
-    /// or never) — the unreliable acknowledgment the paper is about.
-    FalseAck,
-}
-
 /// The data-plane timeline of one switch: every activation and removal, in
 /// order, plus the modifications the fault plan silently discarded.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -297,14 +285,50 @@ impl GroundTruth {
             .find(|e| e.cookie == cookie && e.activated)
             .map(|e| e.at)
     }
+}
 
-    /// Classifies a confirmation issued at `t` for `cookie`.
-    pub fn classify(&self, cookie: u64, t: Duration) -> ConfirmVerdict {
-        if self.active_at(cookie, t) {
-            ConfirmVerdict::TrueAck
-        } else {
-            ConfirmVerdict::FalseAck
+/// The ground-truth judge: joins each planned rule's confirmation against
+/// its switch's [`GroundTruth`] and counts the outcomes.  A confirmation
+/// issued while the rule was not active in the data plane is a false ack
+/// (the unreliable acknowledgment the paper is about); a planned rule never
+/// confirmed is a missed ack.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Verdict {
+    /// Rules judged.
+    pub planned: u64,
+    /// Rules with a confirmation.
+    pub confirmed: u64,
+    /// Confirmations issued while the rule was not in the data plane.
+    pub false_acks: u64,
+    /// Rules never confirmed.
+    pub missed_acks: u64,
+}
+
+impl Verdict {
+    /// Judges one planned rule: `confirmed_at` is when its confirmation was
+    /// issued, if it ever was.
+    pub fn judge(&mut self, truth: &GroundTruth, cookie: u64, confirmed_at: Option<Duration>) {
+        self.planned += 1;
+        match confirmed_at {
+            Some(at) => {
+                self.confirmed += 1;
+                if !truth.active_at(cookie, at) {
+                    self.false_acks += 1;
+                }
+            }
+            None => self.missed_acks += 1,
         }
+    }
+
+    /// Judges every `(truth, cookie, confirmed_at)` rule of a plan.
+    pub fn of<'a>(
+        rules: impl IntoIterator<Item = (&'a GroundTruth, u64, Option<Duration>)>,
+    ) -> Verdict {
+        let mut verdict = Verdict::default();
+        for (truth, cookie, confirmed_at) in rules {
+            verdict.judge(truth, cookie, confirmed_at);
+        }
+        verdict
     }
 }
 
@@ -1101,25 +1125,6 @@ fn flow_table_error_code(err: FlowTableError) -> u16 {
     err.error_code()
 }
 
-/// Convenience: a map from cookie to confirmation time, classified against a
-/// ground truth.  Returns `(false_acks, true_acks)` cookie lists.
-pub fn classify_confirmations(
-    truth: &GroundTruth,
-    confirmations: &HashMap<u64, Duration>,
-) -> (Vec<u64>, Vec<u64>) {
-    let mut false_acks = Vec::new();
-    let mut true_acks = Vec::new();
-    for (&cookie, &at) in confirmations {
-        match truth.classify(cookie, at) {
-            ConfirmVerdict::FalseAck => false_acks.push(cookie),
-            ConfirmVerdict::TrueAck => true_acks.push(cookie),
-        }
-    }
-    false_acks.sort_unstable();
-    true_acks.sort_unstable();
-    (false_acks, true_acks)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1169,15 +1174,13 @@ mod tests {
         // The published 100-300 ms band.
         assert!(act_at - reply_at >= ms(50));
         assert!(act_at - reply_at <= ms(310));
-        // And the confirmation classifier calls it out.
-        assert_eq!(
-            b.ground_truth().classify(11, reply_at),
-            ConfirmVerdict::FalseAck
-        );
-        assert_eq!(
-            b.ground_truth().classify(11, act_at),
-            ConfirmVerdict::TrueAck
-        );
+        // And the judge calls it out.
+        let mut early = Verdict::default();
+        early.judge(b.ground_truth(), 11, Some(reply_at));
+        assert_eq!(early.false_acks, 1);
+        let mut on_time = Verdict::default();
+        on_time.judge(b.ground_truth(), 11, Some(act_at));
+        assert_eq!(on_time.false_acks, 0);
     }
 
     #[test]
@@ -1199,10 +1202,7 @@ mod tests {
             .expect("faithful barrier reply");
         let act_at = b.ground_truth().first_activation(11).unwrap();
         assert!(reply_at >= act_at, "{reply_at:?} vs {act_at:?}");
-        assert_eq!(
-            b.ground_truth().classify(11, reply_at),
-            ConfirmVerdict::TrueAck
-        );
+        assert!(b.ground_truth().active_at(11, reply_at));
     }
 
     #[test]
@@ -1565,7 +1565,7 @@ mod tests {
     }
 
     #[test]
-    fn classify_confirmations_splits_true_and_false() {
+    fn verdict_counts_true_false_and_missed_acks() {
         let truth = GroundTruth {
             events: vec![TruthEvent {
                 at: ms(100),
@@ -1574,11 +1574,20 @@ mod tests {
             }],
             wedged: vec![2],
         };
-        let mut confirmations = HashMap::new();
-        confirmations.insert(1u64, ms(150)); // after activation: true
-        confirmations.insert(2u64, ms(150)); // wedged: false
-        let (false_acks, true_acks) = classify_confirmations(&truth, &confirmations);
-        assert_eq!(false_acks, vec![2]);
-        assert_eq!(true_acks, vec![1]);
+        let v = Verdict::of([
+            (&truth, 1, Some(ms(150))), // after activation: true
+            (&truth, 1, Some(ms(50))),  // before activation: false
+            (&truth, 2, Some(ms(150))), // wedged: false
+            (&truth, 3, None),          // never confirmed: missed
+        ]);
+        assert_eq!(
+            v,
+            Verdict {
+                planned: 4,
+                confirmed: 3,
+                false_acks: 2,
+                missed_acks: 1,
+            }
+        );
     }
 }

@@ -22,8 +22,9 @@
 //! * [`behavior`] — the sans-IO behaviour engine combining tables + model
 //!   with a deterministic, seedable [`FaultPlan`] (silent rule drops,
 //!   delayed sync bursts, ack loss/duplication, restart with table wipe),
-//!   and the [`GroundTruth`] timeline used to classify acknowledgments as
-//!   true or false.
+//!   the [`GroundTruth`] timeline, and the [`Verdict`] judge that classifies
+//!   every planned rule's acknowledgment against it as true, false or
+//!   missed.
 //!
 //! Time throughout is [`std::time::Duration`] since an arbitrary driver
 //! epoch — simulation start or wall-clock process start, the engine only
@@ -38,8 +39,8 @@ pub mod model;
 pub mod oracle;
 
 pub use behavior::{
-    classify_confirmations, Behavior, BehaviorAction, BehaviorCounters, ConfirmVerdict, FaultPlan,
-    GroundTruth, PacketVerdict, TruthEvent,
+    Behavior, BehaviorAction, BehaviorCounters, FaultPlan, GroundTruth, PacketVerdict, TruthEvent,
+    Verdict,
 };
 pub use flow_table::{FlowEntry, FlowModOutcome, FlowTable};
 pub use model::{BarrierMode, SwitchModel};

@@ -1,21 +1,27 @@
-//! A minimal self-contained JSON encoder/parser for snapshot lines.
+//! The workspace's one JSON encoder/parser: telemetry snapshot lines and
+//! the `BENCH_results.json` document both go through it.
 //!
 //! crates.io is unreachable from the build environment, so — like the
-//! `crates/shims` stand-ins — the wire format is hand-rolled: just enough
-//! JSON for `{"counters":{..},"gauges":{..},"histograms":{..}}` lines
-//! (objects, strings, integers, floats).
+//! `crates/shims` stand-ins — it is hand-rolled: objects, arrays, strings,
+//! integers, floats, booleans and `null`.
 
 use std::collections::BTreeMap;
 
-/// A parsed JSON value (the subset snapshots use).
+/// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
+    /// `null`.
+    Null,
+    /// `true` or `false`.
+    Bool(bool),
     /// An integer (no fraction or exponent in the source text).
     Int(i64),
     /// A floating-point number.
     Float(f64),
     /// A string.
     Str(String),
+    /// An array.
+    Arr(Vec<Value>),
     /// An object with sorted keys.
     Obj(BTreeMap<String, Value>),
 }
@@ -25,6 +31,30 @@ impl Value {
     pub fn as_obj(&self) -> Option<&BTreeMap<String, Value>> {
         match self {
             Value::Obj(m) => Some(m),
+            _ => None,
+        }
+    }
+
+    /// The elements, if this is an array.
+    pub fn as_arr(&self) -> Option<&[Value]> {
+        match self {
+            Value::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// The string, if this is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The boolean, if this is `true` or `false`.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Value::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -135,13 +165,45 @@ impl<'a> Parser<'a> {
         self.skip_ws();
         match self.peek() {
             Some(b'{') => self.object(),
+            Some(b'[') => self.array(),
             Some(b'"') => Ok(Value::Str(self.string()?)),
+            Some(b't') => self.literal("true", Value::Bool(true)),
+            Some(b'f') => self.literal("false", Value::Bool(false)),
+            Some(b'n') => self.literal("null", Value::Null),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(format!(
                 "unexpected '{}' at byte {}",
                 other as char, self.pos
             )),
             None => Err("unexpected end of input".into()),
+        }
+    }
+
+    fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
+        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(value)
+        } else {
+            Err(format!("expected '{word}' at byte {}", self.pos))
+        }
+    }
+
+    fn array(&mut self) -> Result<Value, String> {
+        self.expect(b'[')?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Value::Arr(items));
+        }
+        loop {
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.bump() {
+                Some(b',') => continue,
+                Some(b']') => return Ok(Value::Arr(items)),
+                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos - 1)),
+            }
         }
     }
 
@@ -268,7 +330,25 @@ mod tests {
     }
 
     #[test]
+    fn parses_arrays_booleans_and_null() {
+        let v = parse(r#"{"a":[1, true, null, [], {"b":false}], "c":[]}"#).unwrap();
+        let obj = v.as_obj().unwrap();
+        let a = obj["a"].as_arr().unwrap();
+        assert_eq!(a[0], Value::Int(1));
+        assert_eq!(a[1].as_bool(), Some(true));
+        assert_eq!(a[2], Value::Null);
+        assert_eq!(a[3].as_arr(), Some(&[][..]));
+        assert_eq!(a[4].as_obj().unwrap()["b"], Value::Bool(false));
+        assert_eq!(obj["c"].as_arr().map(<[Value]>::len), Some(0));
+        assert_eq!(Value::Str("s".into()).as_str(), Some("s"));
+        assert_eq!(Value::Null.as_f64(), None);
+    }
+
+    #[test]
     fn rejects_garbage() {
+        assert!(parse("[1,").is_err());
+        assert!(parse("[1 2]").is_err());
+        assert!(parse("nul").is_err());
         assert!(parse("{").is_err());
         assert!(parse("{}x").is_err());
         assert!(parse(r#"{"a"}"#).is_err());

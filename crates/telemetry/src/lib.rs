@@ -15,8 +15,10 @@
 //!   buckets — there is no separately-updated total to tear);
 //! * a **snapshot/streaming endpoint** — [`serve`] runs a tiny hand-rolled
 //!   TCP line-protocol server emitting JSON snapshots, [`scrape`] is the
-//!   matching one-shot client.  No external dependencies: the JSON encoder
-//!   and parser live in this crate, like the other `crates/shims` stand-ins.
+//!   matching one-shot client.  No external dependencies: the [`json`]
+//!   encoder and parser live in this crate, like the other `crates/shims`
+//!   stand-ins, and are the workspace's one JSON codec (the bench harness's
+//!   results validator parses `BENCH_results.json` with it too).
 //!
 //! # Line protocol
 //!
@@ -53,7 +55,7 @@
 #![warn(missing_docs)]
 
 mod hist;
-mod json;
+pub mod json;
 mod metrics;
 mod registry;
 mod server;
